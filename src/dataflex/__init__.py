@@ -17,6 +17,7 @@ from .data import DomainSpec, build_domain_specs, generate_corpus, make_validati
 from .evaluation import EvalResult, eval_per_domain
 from .mixers import (
     DoremiParams,
+    DoremiPipelineParams,
     OdmParams,
     OdmState,
     doremi_update,

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_from_tree, load_config_tree
-from .core import MixtureWeights, RunConfig, empirical_proportions, validate_config
+from .core import MixtureWeights, RunConfig, empirical_proportions, params_from, validate_config
 from .data import build_domain_specs, generate_corpus, make_validation
 from .errors import IO_ERROR_EXIT_CODE, BadMode, DataflexError, ParseError, exit_code_table
 from .fileio import (
@@ -31,10 +31,9 @@ from .fileio import (
     write_metrics,
     write_scores,
 )
-from .mixers import DoremiParams, OdmParams, doremi_update, odm_init, odm_update
+from .mixers import DoremiPipelineParams, OdmParams, doremi_update, excess_loss, odm_init, odm_update, sample_batch
 from .model import init_model, init_optimizer, snapshot, train_step
-from .mixers import sample_batch
-from .trainers import DEFAULT_REGISTRY, SelectionContext, _EmbeddingCache, run_training
+from .trainers import DEFAULT_REGISTRY, SelectionContext, _EmbeddingCache, run_training, select_params
 from .selectors import select
 
 _DATA_KEYS = {"corpus", "validation", "synthetic"}
@@ -184,9 +183,7 @@ def _cmd_score(args) -> int:
         batch, _ = sample_batch(policy, corpus, cfg.optim_cfg.batch_size, rng_sample)
         model, opt, _ = train_step(model, opt, batch, np.ones(len(batch)))
 
-    params = dict(cfg.component_params)
-    params.pop("ratio", None)
-    params.pop("accumulate", None)
+    _, params = select_params(cfg.component_params)
     selector = DEFAULT_REGISTRY.resolve("selector", cfg.component_name, params)
     cache = _EmbeddingCache(list(corpus.samples), list(val.samples))
     ctx = SelectionContext(
@@ -210,13 +207,12 @@ def _cmd_mix_sim(args) -> int:
     name = cfg.component_name
     trajectory = []
     if name == "doremi":
+        knobs = params_from(DoremiPipelineParams, cfg.component_params, "doremi mixer")
         if "lambdas" in sim:
             lambdas = [np.asarray(v, dtype=np.float64) for v in sim["lambdas"]]
         elif "proxy_losses" in sim and "ref_losses" in sim:
-            from .mixers import excess_loss
-
             lambdas = [
-                excess_loss(np.asarray(p, dtype=np.float64), np.asarray(r, dtype=np.float64))
+                excess_loss(np.asarray(p, dtype=np.float64), np.asarray(r, dtype=np.float64), clip=knobs.clip_excess)
                 for p, r in zip(sim["proxy_losses"], sim["ref_losses"])
             ]
         else:
@@ -224,27 +220,18 @@ def _cmd_mix_sim(args) -> int:
         if not lambdas:
             raise ParseError("mix_sim has no updates")
         k = lambdas[0].size
-        params = DoremiParams(
-            eta=float(cfg.component_params.get("eta", 0.1)),
-            epsilon=float(cfg.component_params.get("epsilon", 0.01)),
-            K=k,
-        )
+        params = knobs.update_params(k)
         alpha = cfg.init_mixture_proportions or MixtureWeights.uniform(k)
         for i, lam in enumerate(lambdas):
             alpha = doremi_update(alpha, lam, params)
             trajectory.append({"update": i, "weights": [float(x) for x in alpha.weights], "excess_losses": [float(x) for x in lam]})
     elif name == "odm":
+        params = params_from(OdmParams, cfg.component_params, "odm mixer")
         losses_seq = sim.get("losses")
         if not losses_seq:
             raise ParseError("mix_sim for odm needs a 'losses' sequence")
         vectors = [np.array([np.nan if x is None else float(x) for x in row]) for row in losses_seq]
         k = vectors[0].size
-        params = OdmParams(
-            ema_decay=float(cfg.component_params.get("ema_decay", 0.90)),
-            reward_scale=float(cfg.component_params.get("reward_scale", 15.0)),
-            eps_min=float(cfg.component_params.get("eps_min", 0.01)),
-            clip_threshold=float(cfg.component_params.get("clip_threshold", -10.0)),
-        )
         state = odm_init(cfg.init_mixture_proportions or MixtureWeights.uniform(k), params)
         for i, losses in enumerate(vectors):
             state = odm_update(state, losses, params)

@@ -5,47 +5,42 @@ Supported syntax: nested maps via indentation, flow lists of scalars
 comments, and quoted or bare scalars. Tabs in indentation are rejected.
 The restriction keeps the key contract bit-exact and the error messages
 line-accurate; nothing in this package needs more.
+
+``SECTIONS`` maps each config key to the dataclass field it sets. Defaults
+live only on the dataclasses (``ModelCfg``, ``OptimCfg``, ``Schedule``,
+``RunConfig``): a key left out of a file takes the field's default, and
+values are coerced and checked by ``core.params_from``.
 """
 
 from __future__ import annotations
 
 import re
+import typing
 from pathlib import Path
-from typing import Optional
 
-from .core import (
-    MixtureWeights,
-    ModelCfg,
-    OptimCfg,
-    RunConfig,
-    Schedule,
-)
-from .errors import ParseError, UnknownKey, UnknownTrainType
+from .core import MixtureWeights, RunConfig, params_from
+from .errors import ParseError, UnknownKey
 
 _BARE_KEY = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
 
-DATAFLEX_KEYS = (
-    "train_type",
-    "component_name",
-    "warmup_step",
-    "update_step",
-    "update_times",
-    "init_mixture_proportions",
-    "component_params",
-)
-MODEL_KEYS = ("vocab_size", "embed_dim", "hidden_dim", "task")
-TRAIN_KEYS = (
-    "optimizer",
-    "learning_rate",
-    "beta1",
-    "beta2",
-    "eps",
-    "batch_size",
-    "seed",
-    "max_steps",
-    "eval_interval",
-    "out_dir",
-)
+#: The config keys of each section that RunConfig reads: config key ->
+#: (RunConfig field whose dataclass holds the value, "" for RunConfig itself;
+#: field name), or None for a key the CLI alone reads. It drives both
+#: ``config_from_tree`` and ``serialize_config``, in this order.
+SECTIONS = {
+    "model": {key: ("model_cfg", key) for key in ("vocab_size", "embed_dim", "hidden_dim", "task")},
+    "train": {
+        "optimizer": ("optim_cfg", "kind"),
+        **{key: ("optim_cfg", key) for key in ("learning_rate", "beta1", "beta2", "eps", "batch_size")},
+        **{key: ("", key) for key in ("seed", "max_steps", "eval_interval")},
+        "out_dir": None,
+    },
+    "dataflex": {
+        **{key: ("", key) for key in ("train_type", "component_name")},
+        **{key: ("schedule", key) for key in ("warmup_step", "update_step", "update_times")},
+        **{key: ("", key) for key in ("init_mixture_proportions", "component_params")},
+    },
+}
 TOP_LEVEL_SECTIONS = ("model", "data", "train", "dataflex", "mix_sim")
 
 
@@ -193,54 +188,27 @@ def _check_keys(section: dict, allowed, name: str) -> None:
 
 
 def config_from_tree(tree: dict) -> RunConfig:
-    model_section = _require_map(tree.get("model"), "model")
-    _check_keys(model_section, MODEL_KEYS, "model")
-    model_cfg = ModelCfg(
-        vocab_size=int(model_section.get("vocab_size", 64)),
-        embed_dim=int(model_section.get("embed_dim", 16)),
-        hidden_dim=int(model_section.get("hidden_dim", 32)),
-        task=str(model_section.get("task", "lm")),
-    )
-
-    train_section = _require_map(tree.get("train"), "train")
-    _check_keys(train_section, TRAIN_KEYS, "train")
-    optim_cfg = OptimCfg(
-        kind=str(train_section.get("optimizer", "adam")),
-        learning_rate=float(train_section.get("learning_rate", 1e-3)),
-        beta1=float(train_section.get("beta1", 0.9)),
-        beta2=float(train_section.get("beta2", 0.999)),
-        eps=float(train_section.get("eps", 1e-8)),
-        batch_size=int(train_section.get("batch_size", 8)),
-    )
-
-    flex = _require_map(tree.get("dataflex"), "dataflex")
-    _check_keys(flex, DATAFLEX_KEYS, "dataflex")
-    train_type = str(flex.get("train_type", "static"))
-    if train_type not in ("static", "dynamic_select", "dynamic_mix", "dynamic_weight"):
-        raise UnknownTrainType(f"train_type {train_type!r}")
-    schedule = Schedule(
-        warmup_step=int(flex.get("warmup_step", 0)),
-        update_step=int(flex.get("update_step", 1)),
-        update_times=int(flex.get("update_times", 0)),
-    )
-    proportions = flex.get("init_mixture_proportions")
-    init_mixture = None if proportions is None else MixtureWeights.from_config(proportions)
-    raw_params = flex.get("component_params") or {}
-    if not isinstance(raw_params, dict):
-        raise ParseError("component_params must be a mapping of scalars")
-
-    return RunConfig(
-        train_type=train_type,
-        component_name=str(flex.get("component_name", "") or ""),
-        schedule=schedule,
-        init_mixture_proportions=init_mixture,
-        model_cfg=model_cfg,
-        optim_cfg=optim_cfg,
-        component_params=raw_params,
-        seed=int(train_section.get("seed", 0)),
-        max_steps=int(train_section.get("max_steps", 1000)),
-        eval_interval=int(train_section.get("eval_interval", 200)),
-    )
+    """Build a RunConfig from a parsed config tree, through ``SECTIONS``."""
+    user = {"": {}, "model_cfg": {}, "optim_cfg": {}, "schedule": {}}
+    aliases = {target: {} for target in user}
+    for section, table in SECTIONS.items():
+        body = _require_map(tree.get(section), section)
+        _check_keys(body, table, section)
+        for key, value in body.items():
+            if table[key] is not None:
+                target, name = table[key]
+                user[target][key] = value
+                aliases[target][key] = name
+    top = user[""]
+    for key in ("component_name", "component_params"):
+        if key in top and top[key] is None:
+            del top[key]  # an empty ``component_name:`` or ``component_params:`` means none
+    if top.get("init_mixture_proportions") is not None:
+        top["init_mixture_proportions"] = MixtureWeights.from_config(top["init_mixture_proportions"])
+    hints = typing.get_type_hints(RunConfig)
+    for target in ("model_cfg", "optim_cfg", "schedule"):
+        top[target] = params_from(hints[target], user[target], "config", aliases[target])
+    return params_from(RunConfig, top, "config")
 
 
 def parse_config(path) -> RunConfig:
@@ -256,38 +224,30 @@ def _format_scalar(value) -> str:
     if value is None:
         return "null"
     text = str(value)
-    return text if _BARE_KEY.match(text) else f'"{text}"'
+    return text if _BARE_KEY.match(text) and _parse_scalar(text, 0) == text else f'"{text}"'
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Render a RunConfig back into config text; parse(serialize(x)) == x."""
-    lines = ["model:"]
-    lines.append(f"  vocab_size: {cfg.model_cfg.vocab_size}")
-    lines.append(f"  embed_dim: {cfg.model_cfg.embed_dim}")
-    lines.append(f"  hidden_dim: {cfg.model_cfg.hidden_dim}")
-    lines.append(f"  task: {cfg.model_cfg.task}")
-    lines.append("train:")
-    lines.append(f"  optimizer: {cfg.optim_cfg.kind}")
-    lines.append(f"  learning_rate: {_format_scalar(cfg.optim_cfg.learning_rate)}")
-    lines.append(f"  beta1: {_format_scalar(cfg.optim_cfg.beta1)}")
-    lines.append(f"  beta2: {_format_scalar(cfg.optim_cfg.beta2)}")
-    lines.append(f"  eps: {_format_scalar(cfg.optim_cfg.eps)}")
-    lines.append(f"  batch_size: {cfg.optim_cfg.batch_size}")
-    lines.append(f"  seed: {cfg.seed}")
-    lines.append(f"  max_steps: {cfg.max_steps}")
-    lines.append(f"  eval_interval: {cfg.eval_interval}")
-    lines.append("dataflex:")
-    lines.append(f"  train_type: {cfg.train_type}")
-    if cfg.component_name:
-        lines.append(f"  component_name: {cfg.component_name}")
-    lines.append(f"  warmup_step: {cfg.schedule.warmup_step}")
-    lines.append(f"  update_step: {cfg.schedule.update_step}")
-    lines.append(f"  update_times: {cfg.schedule.update_times}")
-    if cfg.init_mixture_proportions is not None:
-        body = ", ".join(repr(float(x)) for x in cfg.init_mixture_proportions.weights)
-        lines.append(f"  init_mixture_proportions: [{body}]")
-    if cfg.component_params:
-        lines.append("  component_params:")
-        for key in sorted(cfg.component_params):
-            lines.append(f"    {key}: {_format_scalar(cfg.component_params[key])}")
+    """Render a RunConfig back into config text; parse(serialize(x)) == x.
+
+    Keys whose value is None or empty are left out, so they read back as
+    their defaults.
+    """
+    lines = []
+    for section, table in SECTIONS.items():
+        lines.append(f"{section}:")
+        for key, target in table.items():
+            if target is None:
+                continue
+            owner, name = target
+            value = getattr(getattr(cfg, owner) if owner else cfg, name)
+            if value is None or value == "" or value == {}:
+                continue
+            if isinstance(value, MixtureWeights):
+                lines.append(f"  {key}: [{', '.join(repr(float(x)) for x in value.weights)}]")
+            elif isinstance(value, dict):
+                lines.append(f"  {key}:")
+                lines.extend(f"    {k}: {_format_scalar(value[k])}" for k in sorted(value))
+            else:
+                lines.append(f"  {key}: {_format_scalar(value)}")
     return "\n".join(lines) + "\n"

@@ -8,13 +8,16 @@ as immutable after construction and are safe to share across threads;
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import typing
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
+    BadParams,
     BadSchedule,
     BadSimplex,
     NonFinite,
@@ -34,6 +37,51 @@ TRAIN_TYPES = ("static", "dynamic_select", "dynamic_mix", "dynamic_weight")
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _coerce(value, hint):
+    """``value`` as a field of type ``hint``; TypeError/ValueError if it is not one."""
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        if value is None:
+            return None
+        hint = typing.get_args(hint)[0]
+    if value is None or isinstance(value, bool) != (hint is bool):
+        raise TypeError
+    if hint in (int, float, str) and isinstance(value, (int, float, str)):
+        out = hint(value)
+        if hint is int and isinstance(value, float) and out != value:
+            raise ValueError
+        return out
+    if not isinstance(value, typing.get_origin(hint) or hint):
+        raise TypeError
+    return value
+
+
+def params_from(cls, params: Mapping, label: str, aliases: Optional[Mapping[str, str]] = None):
+    """Build the dataclass ``cls`` from user-written keys; the one parameter path.
+
+    A key names a field of ``cls``, or maps to one through ``aliases`` (user
+    key -> field name); an aliased field answers to its alias only. Each value
+    is coerced by its field's type; only an ``Optional`` field takes ``None``.
+    Every default comes from ``cls`` itself; its ``__post_init__`` checks the
+    values. Unknown keys and values that cannot be coerced raise
+    ``BadParams`` naming the key and ``label``.
+    """
+    aliases = aliases or {}
+    hints = typing.get_type_hints(cls)
+    keys = {f.name: f.name for f in dataclasses.fields(cls) if f.init and f.name not in aliases.values()}
+    keys.update(aliases)
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise BadParams(f"unknown parameter(s) for {label}: {unknown}; allowed: {sorted(keys)}")
+    kwargs = {}
+    for key, value in params.items():
+        hint = hints[keys[key]]
+        try:
+            kwargs[keys[key]] = _coerce(value, hint)
+        except (TypeError, ValueError, OverflowError):
+            raise BadParams(f"{label}: {key} = {value!r} is not a valid {getattr(hint, '__name__', hint)}") from None
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,16 +131,11 @@ class MixtureWeights:
 
 @dataclass(eq=False)
 class Sample:
-    """A token sequence tagged with its domain; the unit of selection and weighting.
-
-    ``embedding`` is a cache slot that helpers may fill with the backend
-    model's sentence embedding; it is never read by core logic.
-    """
+    """A token sequence tagged with its domain; the unit of selection and weighting."""
 
     id: int
     domain_id: int
     token_ids: np.ndarray
-    embedding: Optional[object] = None
 
     def __post_init__(self):
         if self.id < 0:
@@ -150,10 +193,6 @@ class Corpus:
     def by_id(self, sample_id: int) -> Sample:
         return self._by_id[sample_id]
 
-    @property
-    def ids(self) -> np.ndarray:
-        return np.array(sorted(self._by_id), dtype=np.int64)
-
 
 def empirical_proportions(corpus: Corpus, ids: Optional[Iterable[int]] = None) -> MixtureWeights:
     """Domain proportions of the corpus, or of a subset of its sample ids."""
@@ -200,9 +239,9 @@ class ModelCfg:
 
     def __post_init__(self):
         if min(self.vocab_size, self.embed_dim, self.hidden_dim) < 1:
-            raise ValueError("model dimensions must be positive")
+            raise BadParams("model dimensions must be positive")
         if self.task != "lm":
-            raise ValueError(f"unsupported task {self.task!r}; only next-token 'lm' is implemented")
+            raise BadParams(f"unsupported task {self.task!r}; only next-token 'lm' is implemented")
 
 
 @dataclass(frozen=True)
@@ -216,9 +255,9 @@ class OptimCfg:
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
-            raise ValueError(f"optimizer kind must be 'sgd' or 'adam', got {self.kind!r}")
+            raise BadParams(f"optimizer kind must be 'sgd' or 'adam', got {self.kind!r}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise BadParams(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -240,24 +279,23 @@ class RunConfig:
         if self.train_type not in TRAIN_TYPES:
             raise UnknownTrainType(f"train_type {self.train_type!r}; expected one of {TRAIN_TYPES}")
         object.__setattr__(self, "component_params", dict(self.component_params))
+        if self.seed < 0:
+            raise BadParams(f"seed must be >= 0, got {self.seed}")
         if self.max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
+            raise BadParams(f"max_steps must be >= 0, got {self.max_steps}")
         if self.eval_interval < 1:
-            raise ValueError("eval_interval must be >= 1")
+            raise BadParams(f"eval_interval must be >= 1, got {self.eval_interval}")
 
 
 def validate_config(cfg: RunConfig, corpus: Corpus) -> None:
     """Cross-check a RunConfig against the corpus it will train on.
 
     Raises the specific error naming the offending field; component-name
-    resolvability is checked later against the registry.
+    resolvability is checked later against the registry. Train type and
+    schedule are checked by ``RunConfig`` and ``Schedule`` themselves.
     """
-    if cfg.train_type not in TRAIN_TYPES:
-        raise UnknownTrainType(f"train_type {cfg.train_type!r}")
     if cfg.train_type != "static" and not cfg.component_name:
         raise UnknownComponent(f"component_name must be non-empty for train_type {cfg.train_type!r}")
-    if cfg.schedule.update_times > 0 and cfg.schedule.update_step < 1:
-        raise BadSchedule("update_step=0 with update_times>0")
     if cfg.init_mixture_proportions is not None and len(cfg.init_mixture_proportions) != corpus.num_domains:
         raise BadSimplex(
             f"init_mixture_proportions has length {len(cfg.init_mixture_proportions)}, corpus has K={corpus.num_domains}"

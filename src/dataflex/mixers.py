@@ -16,6 +16,7 @@ from .core import (
     MixtureWeights,
     RunConfig,
     empirical_proportions,
+    params_from,
 )
 from .errors import BadParams, EmptyDomainWithMass, LengthMismatch, NonFinite
 from .model import ModelState, batch_losses, init_model, init_optimizer, train_step
@@ -34,6 +35,34 @@ class DoremiParams:
             raise BadParams(f"eta must be positive, got {self.eta}")
         if not (0.0 <= self.epsilon < 1.0):
             raise BadParams(f"epsilon must lie in [0, 1), got {self.epsilon}")
+
+
+@dataclass(frozen=True)
+class DoremiPipelineParams:
+    """The user knobs of ``run_doremi_pipeline``; ``None`` derives one from the run.
+
+    ``ref_steps`` defaults to ``max(warmup_step + update_step * update_times,
+    1)`` reference steps, and ``proxy_hidden_dim`` to half the target's
+    hidden width (at least 2). ``K`` of the update comes from the corpus.
+    """
+
+    eta: float = DoremiParams.eta
+    epsilon: float = DoremiParams.epsilon
+    clip_excess: bool = True
+    average_weights: bool = False
+    ref_steps: Optional[int] = None
+    proxy_hidden_dim: Optional[int] = None
+
+    def __post_init__(self):
+        self.update_params(0)  # DoremiParams checks eta and epsilon
+        if self.ref_steps is not None and self.ref_steps < 0:
+            raise BadParams(f"ref_steps must be >= 0, got {self.ref_steps}")
+        if self.proxy_hidden_dim is not None and self.proxy_hidden_dim < 1:
+            raise BadParams(f"proxy_hidden_dim must be >= 1, got {self.proxy_hidden_dim}")
+
+    def update_params(self, k: int) -> DoremiParams:
+        """The exponentiated-gradient settings for ``k`` domains."""
+        return DoremiParams(eta=self.eta, epsilon=self.epsilon, K=k)
 
 
 @dataclass(frozen=True)
@@ -209,29 +238,26 @@ def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, val: Optional[Corpus] = 
     per-domain mean batch losses of the proxy and of the frozen reference (on
     the same samples, since the previous point) are compared, and the clipped
     excess drives an exponentiated-gradient update, ``update_times`` times.
-    The final (or, with ``average_weights``, time-averaged) vector is
-    returned for use as a static mixture.
+    The proxy stops at the last point. The final (or, with
+    ``average_weights``, time-averaged) vector is returned for use as a
+    static mixture.
 
+    ``cfg.component_params`` holds the ``DoremiPipelineParams`` keys.
     Reference and proxy use a narrower hidden layer than the target model by
     default (``proxy_hidden_dim``).
     """
     from .trainers import invocation_steps  # local import; trainers imports this module
 
-    params = dict(cfg.component_params)
-    dp = DoremiParams(
-        eta=float(params.get("eta", 0.1)),
-        epsilon=float(params.get("epsilon", 0.01)),
-        K=corpus.num_domains,
-    )
-    clip = bool(params.get("clip_excess", True))
-    average = bool(params.get("average_weights", False))
-    schedule = cfg.schedule
-    horizon = schedule.warmup_step + schedule.update_step * schedule.update_times
-    ref_steps = int(params.get("ref_steps", max(horizon, 1)))
-    proxy_hidden = int(params.get("proxy_hidden_dim", max(2, cfg.model_cfg.hidden_dim // 2)))
-    proxy_arch = replace(cfg.model_cfg, hidden_dim=proxy_hidden)
-
+    knobs = params_from(DoremiPipelineParams, cfg.component_params, "doremi mixer")
     k = corpus.num_domains
+    dp = knobs.update_params(k)
+    schedule = cfg.schedule
+    points = set(invocation_steps(schedule))
+    ref_steps = knobs.ref_steps
+    if ref_steps is None:
+        ref_steps = max(schedule.warmup_step + schedule.update_step * schedule.update_times, 1)
+    proxy_hidden = knobs.proxy_hidden_dim or max(2, cfg.model_cfg.hidden_dim // 2)
+    proxy_arch = replace(cfg.model_cfg, hidden_dim=proxy_hidden)
     init_policy = cfg.init_mixture_proportions or empirical_proportions(corpus)
 
     # Seed children 8.. are reserved for the pipeline; the main training loop
@@ -251,7 +277,6 @@ def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, val: Optional[Corpus] = 
     alpha = MixtureWeights.uniform(k)
     proxy_model = init_model(proxy_arch, rng_proxy_init)
     proxy_opt = init_optimizer(cfg.optim_cfg, proxy_model.params.size)
-    points = set(invocation_steps(schedule))
     trajectory = []
     alpha_history = []
     proxy_sum = np.zeros(k)
@@ -265,7 +290,7 @@ def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, val: Optional[Corpus] = 
         diff = excess_loss(
             np.divide(proxy_sum, counts, out=np.zeros(k), where=seen),
             np.divide(ref_sum, counts, out=np.zeros(k), where=seen),
-            clip=clip,
+            clip=knobs.clip_excess,
         )
         lam[seen] = diff[seen]
         alpha = doremi_update(alpha, lam, dp)
@@ -277,7 +302,8 @@ def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, val: Optional[Corpus] = 
 
     if 0 in points:
         fire(0)
-    for step in range(1, horizon + 1):
+    # The proxy trains up to the last point only: later steps would feed no update.
+    for step in range(1, max(points, default=0) + 1):
         batch, _ = sample_batch(alpha, corpus, cfg.optim_cfg.batch_size, rng_proxy_sample)
         p_losses = batch_losses(proxy_model, batch)
         r_losses = batch_losses(ref_model, batch)
@@ -289,7 +315,7 @@ def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, val: Optional[Corpus] = 
         if step in points:
             fire(step)
 
-    if average and alpha_history:
+    if knobs.average_weights and alpha_history:
         final = MixtureWeights(np.mean(alpha_history, axis=0))
     else:
         final = alpha

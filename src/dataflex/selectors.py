@@ -69,7 +69,8 @@ class ScoreVector:
 class InfluenceParams:
     """Settings for gradient-similarity scoring.
 
-    ``projection_dim=None`` disables the random projection (exact cosine).
+    ``projection_dim=None`` (or 0, as config files spell it) disables the
+    random projection (exact cosine).
     """
 
     projection_dim: Optional[int] = 512
@@ -78,6 +79,8 @@ class InfluenceParams:
     aggregation: str = "mean_gradient"
 
     def __post_init__(self):
+        if self.projection_dim == 0:
+            object.__setattr__(self, "projection_dim", None)
         if self.projection_dim is not None and self.projection_dim < 1:
             raise BadParams(f"projection_dim must be >= 1, got {self.projection_dim}")
         if self.preconditioning not in ("none", "adam"):

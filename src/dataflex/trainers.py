@@ -12,6 +12,7 @@ mutation point.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -25,11 +26,13 @@ from .core import (
     Schedule,
     empirical_proportions,
     id_set_digest,
+    params_from,
     validate_config,
 )
 from .errors import BadParams, DuplicateName, UnknownComponent
 from .evaluation import eval_per_domain
 from .mixers import (
+    DoremiPipelineParams,
     OdmParams,
     odm_init,
     odm_update,
@@ -111,17 +114,23 @@ def invocation_steps(s: Schedule) -> list:
     return [s.warmup_step + j * s.update_step for j in range(s.update_times)]
 
 
-def _pop_params(params: dict, keys: Sequence[str]) -> dict:
-    out = {}
-    for key in keys:
-        if key in params:
-            out[key] = params.pop(key)
-    return out
+@dataclass(frozen=True)
+class SelectParams:
+    """The select-mode keys of ``component_params`` that the loop itself reads."""
+
+    ratio: float = 0.5
+    accumulate: bool = False
+
+    def __post_init__(self):
+        if not (0.0 < self.ratio <= 1.0):
+            raise BadParams(f"selection ratio must lie in (0, 1], got {self.ratio}")
 
 
-def _reject_unknown(params: dict, component: str) -> None:
-    if params:
-        raise BadParams(f"unknown parameter(s) for {component}: {sorted(params)}")
+def select_params(params: dict) -> tuple:
+    """Split select-mode ``component_params`` into (SelectParams, selector params)."""
+    own = {f.name for f in dataclasses.fields(SelectParams)}
+    mode = params_from(SelectParams, {k: v for k, v in params.items() if k in own}, "select mode")
+    return mode, {k: v for k, v in params.items() if k not in own}
 
 
 @dataclass
@@ -137,14 +146,15 @@ class SelectionContext:
     embeddings: Callable  # () -> (pool_matrix, val_matrix), frozen at first call
 
 
+@dataclass(frozen=True)
 class LossSelector:
     def score(self, ctx: SelectionContext) -> ScoreVector:
         return score_loss(ctx.model, ctx.pool)
 
 
+@dataclass(frozen=True)
 class DeltaLossSelector:
-    def __init__(self, hardest_first: bool = False):
-        self.hardest_first = hardest_first
+    hardest_first: bool = False
 
     def score(self, ctx: SelectionContext) -> ScoreVector:
         return score_delta_loss(ctx.model, ctx.ref_checkpoint, ctx.pool, hardest_first=self.hardest_first)
@@ -158,21 +168,23 @@ class InfluenceSelector:
         return score_influence(ctx.model, ctx.opt, ctx.pool, ctx.val, self.params)
 
 
+@dataclass(frozen=True)
 class ProbeSelector:
-    def __init__(self, probe_lr: float = 1e-3, metric: str = "val_loss"):
-        if metric not in ("val_loss", "top1_accuracy"):
-            raise BadParams(f"unknown probe metric {metric!r}")
-        self.probe_lr = probe_lr
-        self.metric = metric
+    probe_lr: float = 1e-3
+    metric: str = "val_loss"
+
+    def __post_init__(self):
+        if self.metric not in ("val_loss", "top1_accuracy"):
+            raise BadParams(f"unknown probe metric {self.metric!r}")
 
     def score(self, ctx: SelectionContext) -> ScoreVector:
         factory = mean_loss_metric if self.metric == "val_loss" else top1_accuracy_metric
         return score_probe(ctx.model, ctx.opt, ctx.pool, factory(ctx.val), self.probe_lr)
 
 
+@dataclass(frozen=True)
 class KnnSelector:
-    def __init__(self, k: int = 10):
-        self.k = k
+    k: int = 10
 
     def score(self, ctx: SelectionContext) -> ScoreVector:
         pool_m, val_m = ctx.embeddings()
@@ -190,61 +202,14 @@ class TsdsSelector:
         return score_tsds(pool_m, val_m, self.params, pool_ids=ids)
 
 
+@dataclass(frozen=True)
 class RandomSelector:
     def score(self, ctx: SelectionContext) -> ScoreVector:
         ids = np.array([s.id for s in ctx.pool], dtype=np.int64)
         return ScoreVector(ids, ctx.rng.random(len(ctx.pool)), "random")
 
 
-def _selector_factory(name: str):
-    def build(params: dict):
-        if name == "loss":
-            _reject_unknown(params, "loss selector")
-            return LossSelector()
-        if name == "delta_loss":
-            opts = _pop_params(params, ("hardest_first",))
-            _reject_unknown(params, "delta_loss selector")
-            return DeltaLossSelector(bool(opts.get("hardest_first", False)))
-        if name == "less":
-            opts = _pop_params(params, ("projection_dim", "projection_seed", "preconditioning", "aggregation"))
-            _reject_unknown(params, "less selector")
-            dim = opts.get("projection_dim", 512)
-            return InfluenceSelector(
-                InfluenceParams(
-                    projection_dim=None if dim in (None, 0) else int(dim),
-                    projection_seed=int(opts.get("projection_seed", 0)),
-                    preconditioning=str(opts.get("preconditioning", "adam")),
-                    aggregation=str(opts.get("aggregation", "mean_gradient")),
-                )
-            )
-        if name == "nice":
-            opts = _pop_params(params, ("probe_lr", "metric"))
-            _reject_unknown(params, "nice selector")
-            return ProbeSelector(float(opts.get("probe_lr", 1e-3)), str(opts.get("metric", "val_loss")))
-        if name == "near":
-            opts = _pop_params(params, ("k",))
-            _reject_unknown(params, "near selector")
-            return KnnSelector(int(opts.get("k", 10)))
-        if name == "tsds":
-            opts = _pop_params(params, ("max_k", "kde_k", "sigma", "tradeoff_alpha", "c"))
-            _reject_unknown(params, "tsds selector")
-            return TsdsSelector(
-                TsdsParams(
-                    max_K=int(opts.get("max_k", 5000)),
-                    kde_K=int(opts.get("kde_k", 1000)),
-                    sigma=float(opts.get("sigma", 0.75)),
-                    tradeoff_alpha=float(opts.get("tradeoff_alpha", 0.6)),
-                    C=float(opts.get("c", 5.0)),
-                )
-            )
-        if name == "random":
-            _reject_unknown(params, "random selector")
-            return RandomSelector()
-        raise UnknownComponent(name)
-
-    return build
-
-
+@dataclass(frozen=True)
 class StaticMixer:
     name = "static"
 
@@ -252,6 +217,7 @@ class StaticMixer:
         return policy, None
 
 
+@dataclass(frozen=True)
 class RandomMixer:
     name = "random"
 
@@ -275,45 +241,43 @@ class OdmMixer:
         return self.state.policy, [float(r) for r in rewards]
 
 
-def _mixer_factory(name: str):
-    def build(params: dict):
-        if name == "static":
-            _reject_unknown(params, "static mixer")
-            return StaticMixer()
-        if name == "random":
-            _reject_unknown(params, "random mixer")
-            return RandomMixer()
-        if name == "odm":
-            opts = _pop_params(params, ("ema_decay", "reward_scale", "eps_min", "clip_threshold"))
-            _reject_unknown(params, "odm mixer")
-            return OdmMixer(
-                OdmParams(
-                    ema_decay=float(opts.get("ema_decay", 0.90)),
-                    reward_scale=float(opts.get("reward_scale", 15.0)),
-                    eps_min=float(opts.get("eps_min", 0.01)),
-                    clip_threshold=float(opts.get("clip_threshold", -10.0)),
-                )
-            )
-        raise UnknownComponent(name)
-
-    return build
+def _same(params):
+    return params
 
 
-def _weighter_factory(params: dict) -> WeightStrategy:
-    opts = _pop_params(params, ("strategy", "temperature"))
-    _reject_unknown(params, "loss weighter")
-    return WeightStrategy(kind=str(opts.get("strategy", "softmax")), temperature=float(opts.get("temperature", 1.0)))
+#: (kind, name) -> (params dataclass, component built from the parsed params,
+#: aliases from user keys to fields). A component that is its own params
+#: dataclass is built by ``_same``. The doremi mixer is pipeline-backed and
+#: run by the mix trainer; its entry parses the pipeline's knobs so that
+#: configs name it, and have its keys checked, like any other mixer.
+_BUILTINS = {
+    ("selector", "loss"): (LossSelector, _same, None),
+    ("selector", "delta_loss"): (DeltaLossSelector, _same, None),
+    ("selector", "less"): (InfluenceParams, InfluenceSelector, None),
+    ("selector", "nice"): (ProbeSelector, _same, None),
+    ("selector", "near"): (KnnSelector, _same, None),
+    ("selector", "tsds"): (TsdsParams, TsdsSelector, {"max_k": "max_K", "kde_k": "kde_K", "c": "C"}),
+    ("selector", "random"): (RandomSelector, _same, None),
+    ("mixer", "static"): (StaticMixer, _same, None),
+    ("mixer", "random"): (RandomMixer, _same, None),
+    ("mixer", "odm"): (OdmParams, OdmMixer, None),
+    ("mixer", "doremi"): (DoremiPipelineParams, lambda params: StaticMixer(), None),
+    ("weighter", "loss"): (WeightStrategy, _same, {"strategy": "kind"}),
+}
+
+
+def _builtin_factory(kind: str, name: str):
+    params_cls, build, aliases = _BUILTINS[(kind, name)]
+    return lambda params: build(params_from(params_cls, params, f"{name} {kind}", aliases))
+
+
+def _selector_factory(name: str):
+    return _builtin_factory("selector", name)
 
 
 def _register_builtins(reg: ComponentRegistry) -> None:
-    for name in ("loss", "delta_loss", "less", "nice", "near", "tsds", "random"):
-        reg.register("selector", name, _selector_factory(name))
-    for name in ("static", "random", "odm"):
-        reg.register("mixer", name, _mixer_factory(name))
-    # The doremi mixer is pipeline-backed and handled by the mix trainer; it
-    # still resolves so configs can name it uniformly.
-    reg.register("mixer", "doremi", lambda params: StaticMixer())
-    reg.register("weighter", "loss", _weighter_factory)
+    for kind, name in _BUILTINS:
+        reg.register(kind, name, _builtin_factory(kind, name))
 
 
 DEFAULT_REGISTRY = ComponentRegistry()
@@ -391,7 +355,6 @@ def run_training(cfg: RunConfig, corpus: Corpus, val: Corpus, registry: Optional
     model = init_model(cfg.model_cfg, rng_init)
     opt = init_optimizer(cfg.optim_cfg, model.params.size)
 
-    params = dict(cfg.component_params)
     init_policy = cfg.init_mixture_proportions or empirical_proportions(corpus)
     policy = init_policy.weights
     view = None  # None means the full corpus
@@ -412,23 +375,19 @@ def run_training(cfg: RunConfig, corpus: Corpus, val: Corpus, registry: Optional
     strategy = None
 
     if mode == "select":
-        ratio = float(params.pop("ratio", 0.5))
-        if not (0.0 < ratio <= 1.0):
-            raise BadParams(f"selection ratio must lie in (0, 1], got {ratio}")
-        accumulate = bool(params.pop("accumulate", False))
-        select_k = int(round(ratio * len(corpus)))
-        selector = registry.resolve("selector", cfg.component_name, params)
+        mode_params, selector_params = select_params(cfg.component_params)
+        accumulate = mode_params.accumulate
+        select_k = int(round(mode_params.ratio * len(corpus)))
+        selector = registry.resolve("selector", cfg.component_name, selector_params)
     elif mode == "mix":
+        mixer = registry.resolve("mixer", cfg.component_name, cfg.component_params)
+        result.weight_trajectory = []
         if cfg.component_name == "doremi":
             pipeline = run_doremi_pipeline(cfg, corpus, val)
             policy = pipeline.weights.weights
-            result.weight_trajectory = list(pipeline.trajectory)
-            mixer = StaticMixer()
-        else:
-            mixer = registry.resolve("mixer", cfg.component_name, params)
-            result.weight_trajectory = []
+            result.weight_trajectory.extend(pipeline.trajectory)
     elif mode == "weight":
-        strategy = registry.resolve("weighter", cfg.component_name, params)
+        strategy = registry.resolve("weighter", cfg.component_name, cfg.component_params)
         result.weight_stats = []
 
     points = set(invocation_steps(cfg.schedule)) if mode in ("select", "mix") else set()

@@ -60,11 +60,7 @@ from .trainers import (
     ComponentRegistry,
     RunResult,
     invocation_steps,
-    run_mix,
-    run_select,
-    run_static,
     run_training,
-    run_weight,
 )
 from .weighters import WeightStrategy, compute_weights
 

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_from_tree, load_config_tree
-from .core import MixtureWeights, RunConfig, empirical_proportions, params_from, validate_config
-from .data import build_domain_specs, generate_corpus, make_validation
-from .errors import IO_ERROR_EXIT_CODE, BadMode, DataflexError, ParseError, exit_code_table
+from .core import MixtureWeights, RunConfig, Schedule, empirical_proportions, params_from, validate_config
+from .data import SyntheticParams, build_domain_specs, generate_corpus, make_validation
+from .errors import IO_ERROR_EXIT_CODE, DataflexError, ParseError, exit_code_table
 from .fileio import (
     read_corpus,
     save_checkpoint,
@@ -31,25 +31,11 @@ from .fileio import (
     write_metrics,
     write_scores,
 )
-from .mixers import DoremiPipelineParams, OdmParams, doremi_update, excess_loss, odm_init, odm_update, sample_batch
-from .model import init_model, init_optimizer, snapshot, train_step
-from .trainers import DEFAULT_REGISTRY, SelectionContext, _EmbeddingCache, run_training, select_params
-from .selectors import select
+from .mixers import DoremiPipelineParams, OdmParams, doremi_update, excess_loss, odm_init, odm_update
+from .model import snapshot
+from .trainers import run_training
 
 _DATA_KEYS = {"corpus", "validation", "synthetic"}
-_SYNTH_KEYS = {
-    "num_samples",
-    "num_domains",
-    "seed",
-    "proportions",
-    "noise_domains",
-    "mean_length",
-    "val_size",
-    "val_mode",
-    "val_domain",
-    "val_weights",
-    "val_seed",
-}
 
 
 def _build_data(tree: dict, cfg: RunConfig):
@@ -64,45 +50,30 @@ def _build_data(tree: dict, cfg: RunConfig):
             raise ParseError("data.corpus requires data.validation")
         val = read_corpus(section["validation"], domain_names=corpus.domain_names, vocab_size=cfg.model_cfg.vocab_size)
         return corpus, val
-    synth = section.get("synthetic")
-    if synth is None:
+    if not isinstance(section.get("synthetic"), dict):
         raise ParseError("data section needs either 'corpus'/'validation' paths or a 'synthetic' block")
-    unknown = set(synth) - _SYNTH_KEYS
-    if unknown:
-        raise ParseError(f"unknown data.synthetic key(s): {sorted(unknown)}")
+    synth = params_from(SyntheticParams, section["synthetic"], "data.synthetic")
 
-    k = int(synth.get("num_domains", 3))
-    n = int(synth.get("num_samples", 1000))
-    seed = int(synth.get("seed", cfg.seed))
+    k = synth.num_domains
+    seed = cfg.seed if synth.seed is None else synth.seed
     specs = build_domain_specs(
         k,
         cfg.model_cfg.vocab_size,
         seed=seed,
-        noise_domains=tuple(int(d) for d in (synth.get("noise_domains") or ())),
-        mean_length=int(synth.get("mean_length", 12)),
+        noise_domains=tuple(synth.noise_domains or ()),
+        mean_length=synth.mean_length,
     )
-    proportions = synth.get("proportions")
-    mixture = MixtureWeights.from_config(proportions) if proportions is not None else MixtureWeights.uniform(k)
-    corpus = generate_corpus(specs, mixture, n, seed)
+    mixture = MixtureWeights.uniform(k) if synth.proportions is None else MixtureWeights.from_config(synth.proportions)
+    corpus = generate_corpus(specs, mixture, synth.num_samples, seed)
 
-    mode = str(synth.get("val_mode", "in_distribution"))
-    val_kwargs = {}
-    if mode == "in_distribution":
-        val_kwargs["proportions"] = empirical_proportions(corpus)
-    elif mode == "single_domain":
-        if "val_domain" not in synth:
-            raise BadMode("val_mode single_domain needs val_domain")
-        val_kwargs["domain"] = int(synth["val_domain"])
-    elif mode == "skewed":
-        if "val_weights" not in synth:
-            raise BadMode("val_mode skewed needs val_weights")
-        val_kwargs["weights"] = synth["val_weights"]
     val = make_validation(
         specs,
-        mode,
-        int(synth.get("val_size", max(50, n // 10))),
-        int(synth.get("val_seed", seed + 1)),
-        **val_kwargs,
+        synth.val_mode,
+        max(50, synth.num_samples // 10) if synth.val_size is None else synth.val_size,
+        seed + 1 if synth.val_seed is None else synth.val_seed,
+        proportions=empirical_proportions(corpus),  # read in_distribution mode only
+        domain=synth.val_domain,
+        weights=synth.val_weights,
     )
     return corpus, val
 
@@ -151,8 +122,7 @@ def _cmd_train(args) -> int:
             out / "selections.jsonl",
             [{"step": ev.step, "size": len(ev.ids), "digest": ev.digest} for ev in result.selections],
         )
-    final = result.metrics[-1].overall_val_loss if result.metrics else float("nan")
-    print(f"train: {cfg.train_type} steps={cfg.max_steps} final_val_loss={final:.6f} out={out}")
+    print(f"train: {cfg.train_type} steps={cfg.max_steps} final_val_loss={result.final_val_loss:.6f} out={out}")
     return 0
 
 
@@ -170,32 +140,13 @@ def _cmd_score(args) -> int:
     validate_config(cfg, corpus)
     if not cfg.component_name:
         raise ParseError("score needs dataflex.component_name")
-
-    kids = np.random.SeedSequence(cfg.seed).spawn(4)
-    model = init_model(cfg.model_cfg, np.random.default_rng(kids[0]))
-    opt = init_optimizer(cfg.optim_cfg, model.params.size)
-    rng_sample = np.random.default_rng(kids[1])
-    policy = cfg.init_mixture_proportions or empirical_proportions(corpus)
-    # As in run_training, the first selection scores the model after
-    # warmup_step updates against a reference taken before any of them.
-    ref_checkpoint = snapshot(model, opt)
-    for _ in range(cfg.schedule.warmup_step):
-        batch, _ = sample_batch(policy, corpus, cfg.optim_cfg.batch_size, rng_sample)
-        model, opt, _ = train_step(model, opt, batch, np.ones(len(batch)))
-
-    _, params = select_params(cfg.component_params)
-    selector = DEFAULT_REGISTRY.resolve("selector", cfg.component_name, params)
-    cache = _EmbeddingCache(list(corpus.samples), list(val.samples))
-    ctx = SelectionContext(
-        model=model,
-        opt=opt,
-        pool=list(corpus.samples),
-        val=list(val.samples),
-        rng=np.random.default_rng(kids[2]),
-        ref_checkpoint=ref_checkpoint,
-        embeddings=cache.provider(model),
+    # The scores of a select run's first selection: the run stops at
+    # warmup_step, before its first eval.
+    warmup = cfg.schedule.warmup_step
+    cfg = dataclasses.replace(
+        cfg, train_type="dynamic_select", max_steps=warmup, eval_interval=warmup + 1, schedule=Schedule(warmup, 1, 1)
     )
-    scores = selector.score(ctx)
+    scores = run_training(cfg, corpus, val).selections[0].scores
     write_scores(args.out, scores)
     print(f"score: {scores.method} over {len(scores)} samples -> {args.out}")
     return 0

@@ -45,6 +45,8 @@ def _coerce(value, hint):
         if value is None:
             return None
         hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is list and isinstance(value, list):
+        return [_coerce(v, typing.get_args(hint)[0]) for v in value]
     if value is None or isinstance(value, bool) != (hint is bool):
         raise TypeError
     if hint in (int, float, str) and isinstance(value, (int, float, str)):

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Corpus, MixtureWeights, Sample
-from .errors import BadMode, BadProportions
+from .errors import BadMode, BadParams, BadProportions
 
 VALIDATION_ID_START = 1_000_000_000
 
@@ -55,6 +55,37 @@ class DomainSpec:
         lo, hi = self.private_slice
         slo, shi = self.shared_slice
         return np.unique(np.concatenate([np.arange(lo, hi), np.arange(slo, shi)]))
+
+
+@dataclass(frozen=True)
+class SyntheticParams:
+    """The ``data.synthetic`` config section; ``None`` derives a field from the run.
+
+    ``seed`` defaults to the run's seed, ``val_size`` to ``max(50,
+    num_samples // 10)`` and ``val_seed`` to ``seed + 1``.
+    """
+
+    num_samples: int = 1000
+    num_domains: int = 3
+    seed: Optional[int] = None
+    proportions: Optional[list[float]] = None
+    noise_domains: Optional[list[int]] = None
+    mean_length: int = 12
+    val_size: Optional[int] = None
+    val_mode: str = "in_distribution"
+    val_domain: Optional[int] = None
+    val_weights: Optional[list[float]] = None
+    val_seed: Optional[int] = None
+
+    def __post_init__(self):
+        if self.num_domains < 1:
+            raise BadParams(f"data.synthetic: num_domains must be >= 1, got {self.num_domains}")
+        if self.mean_length < 2:
+            raise BadParams(f"data.synthetic: mean_length must be >= 2, got {self.mean_length}")
+        for name in ("seed", "val_seed"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise BadParams(f"data.synthetic: {name} must be >= 0, got {value}")
 
 
 def _zipf(n: int, s: float) -> np.ndarray:

@@ -8,6 +8,7 @@ metrics stream are stable across identical runs. Floats round-trip exactly
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -16,8 +17,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import Corpus, MetricsRecord, ModelCfg, OptimCfg, Sample
-from .errors import ParseError
+from .core import Corpus, MetricsRecord, ModelCfg, OptimCfg, Sample, params_from
+from .errors import BadParams, ParseError
 from .model import Checkpoint
 from .selectors import ScoreVector
 
@@ -119,6 +120,7 @@ def write_metrics(path_or_stream, records: Iterable[MetricsRecord]) -> None:
 
 def read_metrics(path) -> list:
     records = []
+    last_good = 0
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -126,8 +128,8 @@ def read_metrics(path) -> list:
             try:
                 records.append(record_from_dict(json.loads(line)))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                last_good = lineno - 1
                 raise ParseError(f"corrupt metrics record; last good record ends at line {last_good}", lineno) from None
+            last_good = lineno
     return records
 
 
@@ -167,23 +169,11 @@ def read_jsonl(path) -> list:
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     payload = {
         "version": CHECKPOINT_VERSION,
-        "arch": {
-            "vocab_size": ckpt.arch.vocab_size,
-            "embed_dim": ckpt.arch.embed_dim,
-            "hidden_dim": ckpt.arch.hidden_dim,
-            "task": ckpt.arch.task,
-        },
+        "arch": dataclasses.asdict(ckpt.arch),
         "params": ckpt.params.tolist(),
         "opt": {
             "kind": ckpt.opt_kind,
-            "hyper": {
-                "kind": ckpt.opt_hyper.kind,
-                "learning_rate": ckpt.opt_hyper.learning_rate,
-                "beta1": ckpt.opt_hyper.beta1,
-                "beta2": ckpt.opt_hyper.beta2,
-                "eps": ckpt.opt_hyper.eps,
-                "batch_size": ckpt.opt_hyper.batch_size,
-            },
+            "hyper": dataclasses.asdict(ckpt.opt_hyper),
             "m": None if ckpt.opt_m is None else ckpt.opt_m.tolist(),
             "v": None if ckpt.opt_v is None else ckpt.opt_v.tolist(),
             "t": ckpt.opt_t,
@@ -192,23 +182,36 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
+def _checkpoint_section(cls, payload: dict, label: str):
+    """``cls`` from a checkpoint section that must hold every one of its fields."""
+    parsed = params_from(cls, payload, f"checkpoint {label}")
+    missing = sorted({f.name for f in dataclasses.fields(cls)} - set(payload))
+    if missing:
+        raise ParseError(f"checkpoint {label} is missing {missing}")
+    return parsed
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a corrupt, truncated or mis-keyed file raises ``ParseError``."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"corrupt checkpoint: {exc.msg}") from None
-    version = payload.get("version")
+    version = payload.get("version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ParseError(f"unsupported checkpoint version {version!r}; this release reads {CHECKPOINT_VERSION}")
-    arch = ModelCfg(**payload["arch"])
-    opt = payload["opt"]
-    hyper = OptimCfg(**opt["hyper"])
-    return Checkpoint(
-        arch=arch,
-        params=np.asarray(payload["params"], dtype=np.float64),
-        opt_kind=opt["kind"],
-        opt_hyper=hyper,
-        opt_m=None if opt["m"] is None else np.asarray(opt["m"], dtype=np.float64),
-        opt_v=None if opt["v"] is None else np.asarray(opt["v"], dtype=np.float64),
-        opt_t=int(opt["t"]),
-    )
+    try:
+        opt = payload["opt"]
+        return Checkpoint(
+            arch=_checkpoint_section(ModelCfg, payload["arch"], "arch"),
+            params=np.asarray(payload["params"], dtype=np.float64),
+            opt_kind=opt["kind"],
+            opt_hyper=_checkpoint_section(OptimCfg, opt["hyper"], "opt.hyper"),
+            opt_m=None if opt["m"] is None else np.asarray(opt["m"], dtype=np.float64),
+            opt_v=None if opt["v"] is None else np.asarray(opt["v"], dtype=np.float64),
+            opt_t=int(opt["t"]),
+        )
+    except KeyError as exc:
+        raise ParseError(f"checkpoint is missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError, BadParams) as exc:
+        raise ParseError(f"corrupt checkpoint: {exc}") from None

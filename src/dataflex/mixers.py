@@ -229,7 +229,9 @@ class DoremiPipelineResult:
     trajectory: list
 
 
-def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, val: Optional[Corpus] = None) -> DoremiPipelineResult:
+def run_doremi_pipeline(
+    cfg: RunConfig, corpus: Corpus, val: Optional[Corpus] = None, knobs: Optional[DoremiPipelineParams] = None
+) -> DoremiPipelineResult:
     """Reference/proxy two-stage mixture optimization; returns static weights.
 
     Stage 1 trains a reference model on the initial (static) mixture. Stage 2
@@ -242,13 +244,15 @@ def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, val: Optional[Corpus] = 
     ``average_weights``, time-averaged) vector is returned for use as a
     static mixture.
 
-    ``cfg.component_params`` holds the ``DoremiPipelineParams`` keys.
+    ``knobs`` are the parsed ``DoremiPipelineParams``; by default they are
+    parsed from ``cfg.component_params``.
     Reference and proxy use a narrower hidden layer than the target model by
     default (``proxy_hidden_dim``).
     """
     from .trainers import invocation_steps  # local import; trainers imports this module
 
-    knobs = params_from(DoremiPipelineParams, cfg.component_params, "doremi mixer")
+    if knobs is None:
+        knobs = params_from(DoremiPipelineParams, cfg.component_params, "doremi mixer")
     k = corpus.num_domains
     dp = knobs.update_params(k)
     schedule = cfg.schedule

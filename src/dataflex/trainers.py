@@ -1,13 +1,22 @@
-"""Training-loop orchestration: component registry, schedule, and the four
-run modes (static baseline, dynamic selection, dynamic mixing, dynamic
-reweighting).
+"""Training-loop orchestration: component registry, schedule, and the one
+step engine behind the four train types.
 
-All modes share one loop and one batch-sampling path (domains drawn from a
-policy, then uniform within the domain), so degenerate configurations
-(select-all, uniform weights, static mixer) reproduce the static baseline
-bitwise under the same seed. Components never touch model state: a digest
-guard around every invocation enforces that the optimizer step is the only
-mutation point.
+``run_training`` is one plain loop: sample a batch from the run's data
+view, step, record an eval snapshot every ``eval_interval`` steps, and fire
+at the points of ``invocation_steps``. Each train type is a run object from
+``_MODES`` with two hooks: ``step`` (plain ``train_step`` by default,
+loss-based weights in weight mode) and ``fire`` (the selection or mixture
+update at a point). The hooks update the data view (policy, id view and
+selection digest), which the eval records read. Mixers resolve through the
+registry like every other component; their own hooks (``Mixer``) let ODM
+see each batch and DoReMi compute its mixture before the run.
+
+All modes share one batch-sampling path (domains drawn from a policy, then
+uniform within the domain), so degenerate configurations (select-all,
+uniform weights, static mixer) reproduce the static baseline bitwise under
+the same seed. Components never touch model state: a digest guard around
+every invocation enforces that the optimizer step is the only mutation
+point.
 """
 
 from __future__ import annotations
@@ -65,14 +74,6 @@ from .selectors import (
 from .weighters import WeightStrategy, apply as weighter_apply
 
 COMPONENT_KINDS = ("selector", "mixer", "weighter")
-
-_TRAINER_BY_TYPE = {
-    "static": "static",
-    "dynamic_select": "select",
-    "dynamic_mix": "mix",
-    "dynamic_weight": "weight",
-}
-
 
 class ComponentRegistry:
     """String-keyed factories for selectors, mixers, and weighters."""
@@ -209,36 +210,77 @@ class RandomSelector:
         return ScoreVector(ids, ctx.rng.random(len(ctx.pool)), "random")
 
 
-@dataclass(frozen=True)
-class StaticMixer:
-    name = "static"
+class Mixer:
+    """A mixer's hooks in a ``dynamic_mix`` run; the defaults keep the mixture fixed."""
 
-    def update(self, policy, window_losses, rng):
+    def start(self, run) -> list:
+        """Set up for ``run``; returns the points at which ``update`` fires."""
+        return invocation_steps(run.cfg.schedule)
+
+    def observe(self, model, batch) -> None:
+        """Sees each step's batch before the step trains on it."""
+
+    def update(self, policy: MixtureWeights, rng):
+        """The policy after a schedule point, and the rewards to record (or None)."""
         return policy, None
 
 
 @dataclass(frozen=True)
-class RandomMixer:
-    name = "random"
-
-    def update(self, policy, window_losses, rng):
-        k = len(policy)
-        return MixtureWeights(rng.dirichlet(np.ones(k))), None
+class StaticMixer(Mixer):
+    pass
 
 
-class OdmMixer:
-    name = "odm"
+@dataclass(frozen=True)
+class RandomMixer(Mixer):
+    def update(self, policy, rng):
+        return MixtureWeights(rng.dirichlet(np.ones(len(policy)))), None
+
+
+class OdmMixer(Mixer):
+    """Exp3 over domains, rewarded by each domain's mean batch loss since the last point."""
 
     def __init__(self, params: OdmParams):
         self.params = params
         self.state = None
 
-    def update(self, policy, window_losses, rng):
+    def start(self, run):
+        self.window_sum = np.zeros(run.corpus.num_domains)
+        self.window_count = np.zeros(run.corpus.num_domains, dtype=np.int64)
+        return super().start(run)
+
+    def observe(self, model, batch):
+        for s, loss_i in zip(batch, batch_losses(model, batch)):
+            self.window_sum[s.domain_id] += loss_i
+            self.window_count[s.domain_id] += 1
+
+    def update(self, policy, rng):
+        losses = np.full(len(policy), np.nan)  # NaN marks a domain the window did not see
+        observed = self.window_count > 0
+        losses[observed] = self.window_sum[observed] / self.window_count[observed]
+        self.window_sum[:] = 0.0
+        self.window_count[:] = 0
         if self.state is None:
             self.state = odm_init(policy, self.params)
-        self.state = odm_update(self.state, window_losses, self.params)
+        self.state = odm_update(self.state, losses, self.params)
         rewards = np.maximum(self.state.ema_loss, self.params.clip_threshold) / self.params.reward_scale
         return self.state.policy, [float(r) for r in rewards]
+
+
+class DoremiMixer(Mixer):
+    """DoReMi: the static mixture that ``run_doremi_pipeline`` computes before the run.
+
+    The pipeline fires at the points with its own proxy model; the run fires none.
+    """
+
+    def __init__(self, params: DoremiPipelineParams):
+        self.params = params
+
+    def start(self, run):
+        pipeline = run_doremi_pipeline(run.cfg, run.corpus, run.val, self.params)
+        run.policy = pipeline.weights
+        run.result.weight_trajectory.extend(pipeline.trajectory)
+        run.result.invocations.extend(rec["step"] for rec in pipeline.trajectory)
+        return []
 
 
 def _same(params):
@@ -247,9 +289,7 @@ def _same(params):
 
 #: (kind, name) -> (params dataclass, component built from the parsed params,
 #: aliases from user keys to fields). A component that is its own params
-#: dataclass is built by ``_same``. The doremi mixer is pipeline-backed and
-#: run by the mix trainer; its entry parses the pipeline's knobs so that
-#: configs name it, and have its keys checked, like any other mixer.
+#: dataclass is built by ``_same``.
 _BUILTINS = {
     ("selector", "loss"): (LossSelector, _same, None),
     ("selector", "delta_loss"): (DeltaLossSelector, _same, None),
@@ -261,7 +301,7 @@ _BUILTINS = {
     ("mixer", "static"): (StaticMixer, _same, None),
     ("mixer", "random"): (RandomMixer, _same, None),
     ("mixer", "odm"): (OdmParams, OdmMixer, None),
-    ("mixer", "doremi"): (DoremiPipelineParams, lambda params: StaticMixer(), None),
+    ("mixer", "doremi"): (DoremiPipelineParams, DoremiMixer, None),
     ("weighter", "loss"): (WeightStrategy, _same, {"strategy": "kind"}),
 }
 
@@ -289,6 +329,7 @@ class SelectionEvent:
     step: int
     ids: tuple
     digest: int
+    scores: ScoreVector
 
 
 @dataclass
@@ -306,29 +347,6 @@ class RunResult:
         return self.metrics[-1].overall_val_loss if self.metrics else float("nan")
 
 
-class _EmbeddingCache:
-    """Embeds pool and validation once, with the model current at first use.
-
-    Distribution-based selectors are offline methods: their embedding space is
-    computed once per run, not re-derived after every model update.
-    """
-
-    def __init__(self, pool, val):
-        self.pool = pool
-        self.val = val
-        self._frozen = None
-
-    def provider(self, model):
-        def get():
-            if self._frozen is None:
-                pool_m = np.stack([embed(model, s).values for s in self.pool])
-                val_m = np.stack([embed(model, s).values for s in self.val])
-                self._frozen = (pool_m, val_m)
-            return self._frozen
-
-        return get
-
-
 def _domain_view(corpus: Corpus, ids) -> dict:
     view = {d: [] for d in range(corpus.num_domains)}
     for i in ids:
@@ -336,169 +354,163 @@ def _domain_view(corpus: Corpus, ids) -> dict:
     return {d: np.array(sorted(v), dtype=np.int64) for d, v in view.items()}
 
 
+class _StaticRun:
+    """The state of one run; its hooks, which do nothing extra, are every mode's defaults.
+
+    The data view is ``policy``, the domain sampling distribution;
+    ``domain_ids``, which restricts each domain to the active selection's
+    sorted ids (``None`` means the full corpus); and ``digest``, the active
+    selection's ``id_set_digest`` (0 while the run trains on the full corpus).
+    The hooks update it and the eval records read it.
+    """
+
+    def __init__(self, cfg: RunConfig, corpus: Corpus, val: Corpus, registry: ComponentRegistry):
+        self.cfg, self.corpus, self.val = cfg, corpus, val
+        kids = np.random.SeedSequence(cfg.seed).spawn(4)
+        self.model = init_model(cfg.model_cfg, np.random.default_rng(kids[0]))
+        self.opt = init_optimizer(cfg.optim_cfg, self.model.params.size)
+        self.rng_sample = np.random.default_rng(kids[1])
+        self.rng = np.random.default_rng(kids[2])  # for the component
+        self.policy = cfg.init_mixture_proportions or empirical_proportions(corpus)
+        self.domain_ids, self.digest = None, 0
+        self.result = RunResult(model=self.model, opt=self.opt, metrics=[])
+        self.points = []
+
+    def step(self, batch, step: int):
+        """Train on ``batch`` at ``step``; returns (model, opt, train loss)."""
+        return train_step(self.model, self.opt, batch, np.ones(len(batch)))
+
+    def fire(self, step: int) -> None:
+        """Update the data view at schedule point ``step``."""
+
+
+class _SelectRun(_StaticRun):
+    def __init__(self, cfg, corpus, val, registry):
+        super().__init__(cfg, corpus, val, registry)
+        self.mode, selector_params = select_params(cfg.component_params)
+        self.select_k = int(round(self.mode.ratio * len(corpus)))
+        if self.select_k < 1:
+            raise BadParams(f"selection ratio {self.mode.ratio} keeps no sample of {len(corpus)}")
+        self.selector = registry.resolve("selector", cfg.component_name, selector_params)
+        self.points = invocation_steps(cfg.schedule)
+        self.ref_checkpoint = snapshot(self.model, self.opt)
+        self.frozen_embeddings = None
+
+    def embeddings(self):
+        """Pool and validation embeddings, taken with the model current at first use.
+
+        Distribution-based selectors are offline methods: their embedding space is
+        computed once per run, not re-derived after every model update.
+        """
+        if self.frozen_embeddings is None:
+            pool_m = np.stack([embed(self.model, s).values for s in self.corpus.samples])
+            val_m = np.stack([embed(self.model, s).values for s in self.val.samples])
+            self.frozen_embeddings = (pool_m, val_m)
+        return self.frozen_embeddings
+
+    def fire(self, step):
+        ctx = SelectionContext(
+            model=self.model,
+            opt=self.opt,
+            pool=list(self.corpus.samples),
+            val=list(self.val.samples),
+            rng=self.rng,
+            ref_checkpoint=self.ref_checkpoint,
+            embeddings=self.embeddings,
+        )
+        scores = self.selector.score(ctx)
+        chosen = select(scores, self.select_k)
+        if self.mode.accumulate and self.result.selections:
+            chosen = sorted(set(chosen) | set(self.result.selections[-1].ids))
+        self.policy = empirical_proportions(self.corpus, chosen)
+        self.domain_ids = _domain_view(self.corpus, chosen)
+        self.digest = 0 if len(set(chosen)) == len(self.corpus) else id_set_digest(chosen)
+        self.ref_checkpoint = snapshot(self.model, self.opt)
+        self.result.selections.append(SelectionEvent(step=step, ids=tuple(chosen), digest=self.digest, scores=scores))
+
+
+class _MixRun(_StaticRun):
+    def __init__(self, cfg, corpus, val, registry):
+        super().__init__(cfg, corpus, val, registry)
+        self.mixer = registry.resolve("mixer", cfg.component_name, cfg.component_params)
+        self.result.weight_trajectory = []
+        self.points = self.mixer.start(self)
+
+    def step(self, batch, step):
+        self.mixer.observe(self.model, batch)
+        return super().step(batch, step)
+
+    def fire(self, step):
+        self.policy, feedback = self.mixer.update(self.policy, self.rng)
+        record = {"step": step, "weights": [float(x) for x in self.policy.weights]}
+        if feedback is not None:
+            record["rewards"] = feedback
+        self.result.weight_trajectory.append(record)
+
+
+class _WeightRun(_StaticRun):
+    def __init__(self, cfg, corpus, val, registry):
+        super().__init__(cfg, corpus, val, registry)
+        self.strategy = registry.resolve("weighter", cfg.component_name, cfg.component_params)
+        self.result.weight_stats = []
+
+    def step(self, batch, step):
+        in_warmup = step <= self.cfg.schedule.warmup_step
+        model, opt, loss, weights = weighter_apply(self.model, self.opt, batch, self.strategy, in_warmup=in_warmup)
+        norm = weights / weights.sum()
+        positive = norm[norm > 0.0]
+        self.result.weight_stats.append(
+            {
+                "step": step,
+                "min_weight": float(weights.min()),
+                "max_weight": float(weights.max()),
+                "entropy": float(-np.sum(positive * np.log(positive))),
+            }
+        )
+        return model, opt, loss
+
+
+#: train_type -> the run that carries it out.
+_MODES = {
+    "static": _StaticRun,
+    "dynamic_select": _SelectRun,
+    "dynamic_mix": _MixRun,
+    "dynamic_weight": _WeightRun,
+}
+
+
 def run_training(cfg: RunConfig, corpus: Corpus, val: Corpus, registry: Optional[ComponentRegistry] = None) -> RunResult:
     """Run any of the four training modes; see the module docstring.
 
     Selectors and mixers fire at the points of ``invocation_steps``, under
-    the rule written there; ``result.invocations`` lists the points that
-    fired, which are those ``<= max_steps``.
+    the rule written there: step 0 trains nothing, so point 0 fires before
+    step 1. ``result.invocations`` lists the points that fired, which are
+    those ``<= max_steps`` (for ``doremi``, every point of its pipeline).
     """
-    registry = registry or DEFAULT_REGISTRY
     validate_config(cfg, corpus)
-    mode = _TRAINER_BY_TYPE[cfg.train_type]
-
-    kids = np.random.SeedSequence(cfg.seed).spawn(4)
-    rng_init = np.random.default_rng(kids[0])
-    rng_sample = np.random.default_rng(kids[1])
-    rng_component = np.random.default_rng(kids[2])
-
-    model = init_model(cfg.model_cfg, rng_init)
-    opt = init_optimizer(cfg.optim_cfg, model.params.size)
-
-    init_policy = cfg.init_mixture_proportions or empirical_proportions(corpus)
-    policy = init_policy.weights
-    view = None  # None means the full corpus
-    selection_digest = 0
-    result = RunResult(model=model, opt=opt, metrics=[])
-
-    selector = None
-    select_k = None
-    accumulate = False
-    active_ids = None
-    ref_checkpoint = snapshot(model, opt)
-    emb_cache = _EmbeddingCache(list(corpus.samples), list(val.samples))
-
-    mixer = None
-    window_sum = np.zeros(corpus.num_domains)
-    window_count = np.zeros(corpus.num_domains, dtype=np.int64)
-
-    strategy = None
-
-    if mode == "select":
-        mode_params, selector_params = select_params(cfg.component_params)
-        accumulate = mode_params.accumulate
-        select_k = int(round(mode_params.ratio * len(corpus)))
-        selector = registry.resolve("selector", cfg.component_name, selector_params)
-    elif mode == "mix":
-        mixer = registry.resolve("mixer", cfg.component_name, cfg.component_params)
-        result.weight_trajectory = []
-        if cfg.component_name == "doremi":
-            pipeline = run_doremi_pipeline(cfg, corpus, val)
-            policy = pipeline.weights.weights
-            result.weight_trajectory.extend(pipeline.trajectory)
-    elif mode == "weight":
-        strategy = registry.resolve("weighter", cfg.component_name, cfg.component_params)
-        result.weight_stats = []
-
-    points = set(invocation_steps(cfg.schedule)) if mode in ("select", "mix") else set()
-    all_ids = {int(s.id) for s in corpus.samples}
-    wants_domain_losses = mode == "mix" and isinstance(mixer, OdmMixer)
-
-    def invoke_component(step: int):
-        nonlocal policy, view, selection_digest, active_ids, ref_checkpoint
-        guard = state_digest(model, opt)
-        if mode == "select":
-            ctx = SelectionContext(
-                model=model,
-                opt=opt,
-                pool=list(corpus.samples),
-                val=list(val.samples),
-                rng=rng_component,
-                ref_checkpoint=ref_checkpoint,
-                embeddings=emb_cache.provider(model),
-            )
-            chosen = select(selector.score(ctx), select_k)
-            if accumulate and active_ids is not None:
-                chosen = sorted(set(chosen) | set(active_ids))
-            active_ids = chosen
-            view = _domain_view(corpus, active_ids)
-            policy = empirical_proportions(corpus, active_ids).weights
-            selection_digest = 0 if set(active_ids) == all_ids else id_set_digest(active_ids)
-            ref_checkpoint = snapshot(model, opt)
-            result.selections.append(SelectionEvent(step=step, ids=tuple(active_ids), digest=selection_digest))
-        else:
-            losses = np.full(corpus.num_domains, np.nan)
-            observed = window_count > 0
-            losses[observed] = window_sum[observed] / window_count[observed]
-            new_policy, feedback = mixer.update(MixtureWeights(policy), losses, rng_component)
-            policy = new_policy.weights
-            record = {"step": step, "weights": [float(x) for x in policy]}
-            if feedback is not None:
-                record["rewards"] = feedback
-            result.weight_trajectory.append(record)
-            window_sum[:] = 0.0
-            window_count[:] = 0
-        if state_digest(model, opt) != guard:
-            raise RuntimeError("component invocation mutated model or optimizer state")
-        result.invocations.append(step)
-
-    if 0 in points:
-        invoke_component(0)
-
-    last_loss = float("nan")
-    warmup = cfg.schedule.warmup_step
-    for step in range(1, cfg.max_steps + 1):
-        batch, _ = sample_batch(MixtureWeights(policy), corpus, cfg.optim_cfg.batch_size, rng_sample, domain_ids=view)
-
-        if mode == "weight":
-            model, opt, last_loss, weights = weighter_apply(model, opt, batch, strategy, in_warmup=step <= warmup)
-            norm = weights / weights.sum()
-            positive = norm[norm > 0.0]
-            result.weight_stats.append(
-                {
-                    "step": step,
-                    "min_weight": float(weights.min()),
-                    "max_weight": float(weights.max()),
-                    "entropy": float(-np.sum(positive * np.log(positive))),
-                }
-            )
-        else:
-            if wants_domain_losses:
-                for s, loss_i in zip(batch, batch_losses(model, batch)):
-                    window_sum[s.domain_id] += loss_i
-                    window_count[s.domain_id] += 1
-            model, opt, last_loss = train_step(model, opt, batch, np.ones(len(batch)))
-
-        if step % cfg.eval_interval == 0:
-            ev = eval_per_domain(model, val)
-            result.metrics.append(
-                MetricsRecord(
-                    step=step,
-                    train_loss=last_loss,
-                    per_domain_val_loss=ev.per_domain,
-                    overall_val_loss=ev.overall,
-                    mixture=tuple(float(x) for x in policy),
-                    active_selection_digest=selection_digest,
+    run = _MODES[cfg.train_type](cfg, corpus, val, registry or DEFAULT_REGISTRY)
+    points = set(run.points)
+    for step in range(cfg.max_steps + 1):
+        if step > 0:
+            batch, _ = sample_batch(run.policy, corpus, cfg.optim_cfg.batch_size, run.rng_sample, domain_ids=run.domain_ids)
+            run.model, run.opt, loss = run.step(batch, step)
+            if step % cfg.eval_interval == 0:
+                ev = eval_per_domain(run.model, val)
+                run.result.metrics.append(
+                    MetricsRecord(
+                        step=step,
+                        train_loss=loss,
+                        per_domain_val_loss=ev.per_domain,
+                        overall_val_loss=ev.overall,
+                        mixture=tuple(run.policy.weights),
+                        active_selection_digest=run.digest,
+                    )
                 )
-            )
-
         if step in points:
-            invoke_component(step)
-
-    result.model = model
-    result.opt = opt
-    return result
-
-
-def run_static(cfg: RunConfig, corpus: Corpus, val: Corpus, registry=None) -> RunResult:
-    if cfg.train_type != "static":
-        raise BadParams(f"run_static needs train_type='static', got {cfg.train_type!r}")
-    return run_training(cfg, corpus, val, registry)
-
-
-def run_select(cfg: RunConfig, corpus: Corpus, val: Corpus, registry=None) -> RunResult:
-    if cfg.train_type != "dynamic_select":
-        raise BadParams(f"run_select needs train_type='dynamic_select', got {cfg.train_type!r}")
-    return run_training(cfg, corpus, val, registry)
-
-
-def run_mix(cfg: RunConfig, corpus: Corpus, val: Corpus, registry=None) -> RunResult:
-    if cfg.train_type != "dynamic_mix":
-        raise BadParams(f"run_mix needs train_type='dynamic_mix', got {cfg.train_type!r}")
-    return run_training(cfg, corpus, val, registry)
-
-
-def run_weight(cfg: RunConfig, corpus: Corpus, val: Corpus, registry=None) -> RunResult:
-    if cfg.train_type != "dynamic_weight":
-        raise BadParams(f"run_weight needs train_type='dynamic_weight', got {cfg.train_type!r}")
-    return run_training(cfg, corpus, val, registry)
+            guard = state_digest(run.model, run.opt)
+            run.fire(step)
+            if state_digest(run.model, run.opt) != guard:
+                raise RuntimeError("component invocation mutated model or optimizer state")
+            run.result.invocations.append(step)
+    run.result.model, run.result.opt = run.model, run.opt
+    return run.result

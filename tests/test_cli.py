@@ -83,3 +83,47 @@ def test_mix_sim_doremi_honours_clip_excess(tmp_path, capsys, clip, expected):
     assert code == 0
     (record,) = [json.loads(line) for line in out.read_text().splitlines()]
     assert record["excess_losses"] == expected
+
+
+SYNTH = {"num_samples": "40", "num_domains": "2", "seed": "1", "val_size": "10"}
+
+
+def synthetic(**overrides):
+    entries = {**SYNTH, **overrides}
+    return "  synthetic:\n" + "".join(f"    {key}: {value}\n" for key, value in entries.items())
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("num_samples", "abc"),
+        ("num_domains", "0"),
+        ("mean_length", "1"),
+        ("noise_domains", "[x]"),
+        ("proportions", "[0.5, half]"),
+        ("val_size", "2.5"),
+        ("seed", "-1"),
+        ("val_seed", "-3"),
+    ],
+)
+def test_bad_synthetic_value_exits_with_bad_params(tmp_path, capsys, key, value):
+    config = write_config(tmp_path, data=synthetic(**{key: value}))
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == BadParams.exit_code
+    assert len(err.splitlines()) == 1
+    assert err.startswith("BadParams:") and key in err
+
+
+def test_synthetic_typo_exits_with_bad_params(tmp_path, capsys):
+    config = write_config(tmp_path, data=synthetic(num_sample="40"))
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == BadParams.exit_code
+    assert len(err.splitlines()) == 1 and "num_sample" in err
+
+
+def test_ratio_that_keeps_no_sample_exits_with_bad_params(tmp_path, capsys):
+    dataflex = "  train_type: dynamic_select\n  component_name: loss\n  component_params:\n    ratio: 0.001\n"
+    config = write_config(tmp_path, dataflex=dataflex)
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == BadParams.exit_code
+    assert len(err.splitlines()) == 1 and "ratio" in err

@@ -91,6 +91,15 @@ class TestDoremiPipelineRule:
             pipeline = run_doremi_pipeline(cfg, corpus, val)
             assert [rec["step"] for rec in pipeline.trajectory] == invocation_steps(sched)
 
+    @pytest.mark.parametrize("sched,max_steps", [(Schedule(4, 3, 2), 12), (Schedule(0, 4, 3), 20), (Schedule(8, 4, 3), 10)])
+    def test_run_records_each_pipeline_point_once(self, sched, max_steps):
+        corpus, val = small_setup()
+        cfg = cfg_for("dynamic_mix", "doremi", sched, {"ref_steps": 5}, max_steps=max_steps, eval_interval=5)
+        points = [rec["step"] for rec in run_doremi_pipeline(cfg, corpus, val).trajectory]
+        result = run_training(cfg, corpus, val)
+        assert points == invocation_steps(sched)
+        assert result.invocations == [rec["step"] for rec in result.weight_trajectory] == points
+
     def test_first_update_sees_step_one_losses(self):
         corpus, val = small_setup()
         cfg = cfg_for("dynamic_mix", "doremi", Schedule(1, 4, 1), {"ref_steps": 5, "clip_excess": False})

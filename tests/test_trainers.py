@@ -13,11 +13,7 @@ from dataflex import (
     generate_corpus,
     invocation_steps,
     make_validation,
-    run_mix,
-    run_select,
-    run_static,
     run_training,
-    run_weight,
 )
 from dataflex.errors import BadParams, DuplicateName, UnknownComponent
 from dataflex.fileio import metrics_digest
@@ -275,15 +271,3 @@ class TestComponentPurity:
         with pytest.raises(RuntimeError, match="mutated"):
             run_training(cfg, corpus, val, registry=reg)
 
-
-class TestModeWrappers:
-    def test_wrappers_enforce_train_type(self):
-        _, corpus, val = small_setup()
-        cfg = cfg_for("static")
-        with pytest.raises(BadParams):
-            run_select(cfg, corpus, val)
-        with pytest.raises(BadParams):
-            run_mix(cfg, corpus, val)
-        with pytest.raises(BadParams):
-            run_weight(cfg, corpus, val)
-        assert run_static(cfg, corpus, val).metrics

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import config_from_tree, load_config_tree
+from .config import _require_map, config_from_tree, load_config_tree
 from .core import MixtureWeights, RunConfig, Schedule, empirical_proportions, params_from, validate_config
 from .data import SyntheticParams, build_domain_specs, generate_corpus, make_validation
 from .errors import IO_ERROR_EXIT_CODE, DataflexError, ParseError, exit_code_table
@@ -40,7 +40,7 @@ _DATA_KEYS = {"corpus", "validation", "synthetic"}
 
 def _build_data(tree: dict, cfg: RunConfig):
     """Load or generate (corpus, validation) from the config's data section."""
-    section = tree.get("data") or {}
+    section = _require_map(tree.get("data"), "data")
     unknown = set(section) - _DATA_KEYS
     if unknown:
         raise ParseError(f"unknown data key(s): {sorted(unknown)}")

@@ -53,7 +53,7 @@ def _parse_scalar(text: str, line: int):
         return True
     if lowered in ("false", "no"):
         return False
-    if lowered in ("null", "none", "~", ""):
+    if lowered in ("null", "~", ""):
         return None
     try:
         return int(text)
@@ -209,11 +209,6 @@ def config_from_tree(tree: dict) -> RunConfig:
     for target in ("model_cfg", "optim_cfg", "schedule"):
         top[target] = params_from(hints[target], user[target], "config", aliases[target])
     return params_from(RunConfig, top, "config")
-
-
-def parse_config(path) -> RunConfig:
-    """Parse a config file into a RunConfig (corpus cross-checks happen at run time)."""
-    return config_from_tree(load_config_tree(path))
 
 
 def _format_scalar(value) -> str:

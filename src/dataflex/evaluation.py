@@ -18,7 +18,6 @@ class EvalResult:
 
     per_domain: tuple  # ((domain_id, loss), ...) for non-empty domains
     overall: float
-    token_counts: tuple  # ((domain_id, target token count), ...)
 
 
 def eval_per_domain(model: ModelState, val: Corpus) -> EvalResult:
@@ -36,4 +35,4 @@ def eval_per_domain(model: ModelState, val: Corpus) -> EvalResult:
     overall = float(loss_sum[present].sum() / tokens[present].sum())
     weighted = sum(v * tokens[d] for d, v in per_domain) / tokens[present].sum()
     assert abs(weighted - overall) <= 1e-9, "overall loss must be the token-weighted domain mean"
-    return EvalResult(per_domain=per_domain, overall=overall, token_counts=tuple((int(d), int(tokens[d])) for d in present))
+    return EvalResult(per_domain=per_domain, overall=overall)

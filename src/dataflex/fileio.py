@@ -153,19 +153,6 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def read_jsonl(path) -> list:
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"corrupt record: {exc.msg}", lineno) from None
-    return out
-
-
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     payload = {
         "version": CHECKPOINT_VERSION,

@@ -1,13 +1,19 @@
 """Domain-mixture computation: excess-loss exponentiated-gradient updates,
-an Exp3 bandit with EMA rewards, policy-driven batch sampling, and the
-three-step reference/proxy/target pipeline that produces a static mixture.
+an Exp3 bandit with EMA rewards, policy-driven batch sampling, the mixers
+that a ``dynamic_mix`` run hands its steps and points to, and the
+reference/proxy pipeline that produces DoReMi's static mixture.
+
+ODM (arXiv:2312.02406) and DoReMi (arXiv:2305.10429) both turn each domain's
+mean batch loss since the last point into a new mixture, so both mixers
+keep a ``LossWindow``. The pipeline's two stages are mix runs of the one
+step engine in ``trainers``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -15,11 +21,10 @@ from .core import (
     Corpus,
     MixtureWeights,
     RunConfig,
-    empirical_proportions,
     params_from,
 )
 from .errors import BadParams, EmptyDomainWithMass, LengthMismatch, NonFinite
-from .model import ModelState, batch_losses, init_model, init_optimizer, train_step
+from .model import ModelState, batch_losses, train_step
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,8 @@ def odm_update(state: OdmState, observed_domain_loss: np.ndarray, params: OdmPar
     reward is the clipped EMA divided by ``reward_scale``, importance-weighted
     by the sampling policy in effect while the window was collected. The new
     policy mixes ``K*eps_min`` of uniform exploration back in, so every entry
-    is at least ``eps_min``.
+    is at least ``eps_min``. A loss observed for a domain of policy weight 0
+    has no importance weight and is rejected.
     """
     losses = np.asarray(observed_domain_loss, dtype=np.float64)
     k = len(state.policy)
@@ -169,8 +175,11 @@ def odm_update(state: OdmState, observed_domain_loss: np.ndarray, params: OdmPar
         raise BadParams(f"K*eps_min = {params.eps_min * k} exceeds 1")
     if np.any(np.isinf(losses)):
         raise NonFinite("observed losses contain infinities")
-
     observed = ~np.isnan(losses)
+    unsampled = np.flatnonzero(observed & (state.policy.weights == 0.0))
+    if unsampled.size:
+        raise BadParams(f"domain {unsampled[0]} has an observed loss but policy weight 0")
+
     ema = state.ema_loss.copy()
     first = observed & ~state.seen
     ema[first] = losses[first]
@@ -223,6 +232,112 @@ def sample_batch(
     return samples, rng
 
 
+class LossWindow:
+    """Per-domain batch losses since the last schedule point.
+
+    ODM keeps one window of its model's losses; the DoReMi proxy stage keeps
+    one for the proxy and one for the reference, filled with the same batches.
+    """
+
+    def __init__(self, k: int):
+        self.total = np.zeros(k)
+        self.count = np.zeros(k, dtype=np.int64)
+
+    def add(self, batch, losses) -> None:
+        for s, loss in zip(batch, losses):
+            self.total[s.domain_id] += loss
+            self.count[s.domain_id] += 1
+
+    def take(self) -> np.ndarray:
+        """Each domain's mean loss, NaN for a domain not seen; empties the window."""
+        means = np.full(len(self.total), np.nan)
+        seen = self.count > 0
+        means[seen] = self.total[seen] / self.count[seen]
+        self.total[:] = 0.0
+        self.count[:] = 0
+        return means
+
+
+class Mixer:
+    """A mixer's hooks in a ``dynamic_mix`` run; the defaults keep the mixture fixed.
+
+    The run calls ``start`` once, ``step`` for each of its steps, and
+    ``update`` at each of its points, under the rule of
+    ``trainers.invocation_steps``.
+    """
+
+    def start(self, run) -> None:
+        """Set up for ``run``; may change its starting ``policy`` and its ``points``."""
+
+    def step(self, model: ModelState, opt, batch):
+        """Train on ``batch``; returns (model, opt, train loss)."""
+        return train_step(model, opt, batch, np.ones(len(batch)))
+
+    def update(self, policy: MixtureWeights, rng):
+        """The policy after a point, and the extra keys of that point's trajectory record."""
+        return policy, {}
+
+
+@dataclass(frozen=True)
+class StaticMixer(Mixer):
+    pass
+
+
+@dataclass(frozen=True)
+class RandomMixer(Mixer):
+    def update(self, policy, rng):
+        return MixtureWeights(rng.dirichlet(np.ones(len(policy)))), {}
+
+
+class OdmMixer(Mixer):
+    """Exp3 over domains, rewarded by each domain's mean batch loss since the last point."""
+
+    def __init__(self, params: OdmParams):
+        self.params = params
+        self.state = None
+
+    def start(self, run):
+        self.window = LossWindow(run.corpus.num_domains)
+
+    def step(self, model, opt, batch):
+        self.window.add(batch, batch_losses(model, batch))
+        return super().step(model, opt, batch)
+
+    def update(self, policy, rng):
+        if self.state is None:
+            self.state = odm_init(policy, self.params)
+        self.state = odm_update(self.state, self.window.take(), self.params)
+        rewards = np.maximum(self.state.ema_loss, self.params.clip_threshold) / self.params.reward_scale
+        return self.state.policy, {"rewards": [float(r) for r in rewards]}
+
+
+class DoremiProxyMixer(Mixer):
+    """The proxy stage of DoReMi, from uniform weights.
+
+    Before each step the proxy's and the frozen reference's losses on the
+    batch go into two windows; at each point the per-domain excess of their
+    means (clipped at zero unless ``clip_excess`` is false) drives
+    ``doremi_update``.
+    """
+
+    def __init__(self, reference: ModelState, knobs: DoremiPipelineParams, k: int):
+        self.reference, self.knobs, self.params = reference, knobs, knobs.update_params(k)
+        self.proxy_window, self.ref_window = LossWindow(k), LossWindow(k)
+
+    def start(self, run):
+        run.policy = MixtureWeights.uniform(self.params.K)
+
+    def step(self, model, opt, batch):
+        self.proxy_window.add(batch, batch_losses(model, batch))
+        self.ref_window.add(batch, batch_losses(self.reference, batch))
+        return super().step(model, opt, batch)
+
+    def update(self, policy, rng):
+        lam = excess_loss(self.proxy_window.take(), self.ref_window.take(), clip=self.knobs.clip_excess)
+        lam[np.isnan(lam)] = 0.0  # a domain the window did not see has no excess
+        return doremi_update(policy, lam, self.params), {"excess_losses": [float(x) for x in lam]}
+
+
 @dataclass
 class DoremiPipelineResult:
     weights: MixtureWeights
@@ -234,93 +349,41 @@ def run_doremi_pipeline(
 ) -> DoremiPipelineResult:
     """Reference/proxy two-stage mixture optimization; returns static weights.
 
-    Stage 1 trains a reference model on the initial (static) mixture. Stage 2
-    trains a proxy model whose sampling policy is the evolving weight vector:
-    at each point of ``invocation_steps`` (under the rule written there) the
-    per-domain mean batch losses of the proxy and of the frozen reference (on
-    the same samples, since the previous point) are compared, and the clipped
-    excess drives an exponentiated-gradient update, ``update_times`` times.
-    The proxy stops at the last point. The final (or, with
-    ``average_weights``, time-averaged) vector is returned for use as a
-    static mixture.
+    Both stages are ``dynamic_mix`` runs of the one step engine, without
+    evals, on a narrower hidden layer than the target model by default
+    (``proxy_hidden_dim``). The reference stage trains ``ref_steps`` steps on
+    the initial mixture and fires at no point. The proxy stage is a
+    ``DoremiProxyMixer`` run: it fires at the points of ``invocation_steps``
+    (under the rule written there) and stops at the last one, so
+    ``update_times`` exponentiated-gradient updates shape its sampling. The
+    final (or, with ``average_weights``, time-averaged) vector is returned for
+    use as a static mixture, with the proxy's trajectory records.
 
     ``knobs`` are the parsed ``DoremiPipelineParams``; by default they are
-    parsed from ``cfg.component_params``.
-    Reference and proxy use a narrower hidden layer than the target model by
-    default (``proxy_hidden_dim``).
+    parsed from ``cfg.component_params``. ``val`` is not read.
     """
-    from .trainers import invocation_steps  # local import; trainers imports this module
+    from .trainers import _MixRun  # local import; trainers imports this module
 
     if knobs is None:
         knobs = params_from(DoremiPipelineParams, cfg.component_params, "doremi mixer")
-    k = corpus.num_domains
-    dp = knobs.update_params(k)
     schedule = cfg.schedule
-    points = set(invocation_steps(schedule))
     ref_steps = knobs.ref_steps
     if ref_steps is None:
         ref_steps = max(schedule.warmup_step + schedule.update_step * schedule.update_times, 1)
-    proxy_hidden = knobs.proxy_hidden_dim or max(2, cfg.model_cfg.hidden_dim // 2)
-    proxy_arch = replace(cfg.model_cfg, hidden_dim=proxy_hidden)
-    init_policy = cfg.init_mixture_proportions or empirical_proportions(corpus)
+    hidden = knobs.proxy_hidden_dim or max(2, cfg.model_cfg.hidden_dim // 2)
+    stage = replace(cfg, model_cfg=replace(cfg.model_cfg, hidden_dim=hidden))
 
-    # Seed children 8.. are reserved for the pipeline; the main training loop
-    # uses the low indices of the same root sequence.
-    kids = np.random.SeedSequence(cfg.seed).spawn(12)
-    rng_ref_init, rng_ref_sample = (np.random.default_rng(kids[i]) for i in (8, 9))
-    rng_proxy_init, rng_proxy_sample = (np.random.default_rng(kids[i]) for i in (10, 11))
+    # Seed children 8 and 9 (init, sampling) are the reference's, 10 and 11
+    # the proxy's; the target run uses the low ones. The reference's schedule
+    # has no updates, so it fires at no point.
+    ref_stage = replace(stage, schedule=replace(schedule, update_times=0))
+    ref = _MixRun(ref_stage, corpus, None, None, mixer=Mixer(), seed_child=8)
+    ref.drive(ref_steps)
+    proxy_mixer = DoremiProxyMixer(ref.model, knobs, corpus.num_domains)
+    proxy = _MixRun(stage, corpus, None, None, mixer=proxy_mixer, seed_child=10)
+    proxy.drive(max(proxy.points, default=0))  # later steps would feed no update
 
-    # Stage 1: reference model on the static initial mixture.
-    ref_model = init_model(proxy_arch, rng_ref_init)
-    ref_opt = init_optimizer(cfg.optim_cfg, ref_model.params.size)
-    for _ in range(ref_steps):
-        batch, _ = sample_batch(init_policy, corpus, cfg.optim_cfg.batch_size, rng_ref_sample)
-        ref_model, ref_opt, _ = train_step(ref_model, ref_opt, batch, np.ones(len(batch)))
-
-    # Stage 2: proxy trained under the evolving mixture.
-    alpha = MixtureWeights.uniform(k)
-    proxy_model = init_model(proxy_arch, rng_proxy_init)
-    proxy_opt = init_optimizer(cfg.optim_cfg, proxy_model.params.size)
-    trajectory = []
-    alpha_history = []
-    proxy_sum = np.zeros(k)
-    ref_sum = np.zeros(k)
-    counts = np.zeros(k, dtype=np.int64)
-
-    def fire(step: int):
-        nonlocal alpha
-        lam = np.zeros(k)
-        seen = counts > 0
-        diff = excess_loss(
-            np.divide(proxy_sum, counts, out=np.zeros(k), where=seen),
-            np.divide(ref_sum, counts, out=np.zeros(k), where=seen),
-            clip=knobs.clip_excess,
-        )
-        lam[seen] = diff[seen]
-        alpha = doremi_update(alpha, lam, dp)
-        alpha_history.append(alpha.weights.copy())
-        trajectory.append({"step": step, "weights": [float(x) for x in alpha.weights], "excess_losses": [float(x) for x in lam]})
-        proxy_sum[:] = 0.0
-        ref_sum[:] = 0.0
-        counts[:] = 0
-
-    if 0 in points:
-        fire(0)
-    # The proxy trains up to the last point only: later steps would feed no update.
-    for step in range(1, max(points, default=0) + 1):
-        batch, _ = sample_batch(alpha, corpus, cfg.optim_cfg.batch_size, rng_proxy_sample)
-        p_losses = batch_losses(proxy_model, batch)
-        r_losses = batch_losses(ref_model, batch)
-        for s, pl, rl in zip(batch, p_losses, r_losses):
-            proxy_sum[s.domain_id] += pl
-            ref_sum[s.domain_id] += rl
-            counts[s.domain_id] += 1
-        proxy_model, proxy_opt, _ = train_step(proxy_model, proxy_opt, batch, np.ones(len(batch)))
-        if step in points:
-            fire(step)
-
-    if knobs.average_weights and alpha_history:
-        final = MixtureWeights(np.mean(alpha_history, axis=0))
-    else:
-        final = alpha
-    return DoremiPipelineResult(weights=final, trajectory=trajectory)
+    trajectory = proxy.result.weight_trajectory
+    if knobs.average_weights and trajectory:
+        return DoremiPipelineResult(MixtureWeights(np.mean([rec["weights"] for rec in trajectory], axis=0)), trajectory)
+    return DoremiPipelineResult(proxy.policy, trajectory)

@@ -1,15 +1,21 @@
 """Training-loop orchestration: component registry, schedule, and the one
-step engine behind the four train types.
+step engine behind the four train types and the DoReMi stages.
 
-``run_training`` is one plain loop: sample a batch from the run's data
-view, step, record an eval snapshot every ``eval_interval`` steps, and fire
-at the points of ``invocation_steps``. Each train type is a run object from
-``_MODES`` with two hooks: ``step`` (plain ``train_step`` by default,
-loss-based weights in weight mode) and ``fire`` (the selection or mixture
-update at a point). The hooks update the data view (policy, id view and
-selection digest), which the eval records read. Mixers resolve through the
-registry like every other component; their own hooks (``Mixer``) let ODM
-see each batch and DoReMi compute its mixture before the run.
+The engine, ``_StaticRun.drive``, is one plain loop: sample a batch from the
+run's data view, step, record an eval snapshot every ``eval_interval`` steps
+(for a run with a validation set), and fire at the run's points, those of
+``invocation_steps``. Each train type is a run object from ``_MODES`` with
+two hooks: ``step`` (plain ``train_step`` by default, loss-based weights in
+weight mode) and ``fire`` (the selection or mixture update at a point). The
+hooks update the data view (policy, id view and selection digest), which
+the eval records read. ``run_training`` drives one run for ``max_steps``
+steps; ``mixers.run_doremi_pipeline`` drives its reference and proxy stages
+as mix runs without evals.
+
+Mixers resolve through the registry like every other component. A mix run
+hands each step and each point to its mixer's hooks (``mixers.Mixer``), so
+ODM and the DoReMi proxy see each batch before it trains, and ``DoremiMixer``
+computes its static mixture before the run.
 
 All modes share one batch-sampling path (domains drawn from a policy, then
 uniform within the domain), so degenerate configurations (select-all,
@@ -30,7 +36,6 @@ import numpy as np
 from .core import (
     Corpus,
     MetricsRecord,
-    MixtureWeights,
     RunConfig,
     Schedule,
     empirical_proportions,
@@ -42,14 +47,16 @@ from .errors import BadParams, DuplicateName, UnknownComponent
 from .evaluation import eval_per_domain
 from .mixers import (
     DoremiPipelineParams,
+    Mixer,
+    OdmMixer,
     OdmParams,
-    odm_init,
-    odm_update,
+    RandomMixer,
+    StaticMixer,
     run_doremi_pipeline,
     sample_batch,
 )
 from .model import (
-    batch_losses,
+    batch_losses,  # not called here; bench/tracer.py wraps it on this module
     embed,
     init_model,
     init_optimizer,
@@ -210,66 +217,11 @@ class RandomSelector:
         return ScoreVector(ids, ctx.rng.random(len(ctx.pool)), "random")
 
 
-class Mixer:
-    """A mixer's hooks in a ``dynamic_mix`` run; the defaults keep the mixture fixed."""
-
-    def start(self, run) -> list:
-        """Set up for ``run``; returns the points at which ``update`` fires."""
-        return invocation_steps(run.cfg.schedule)
-
-    def observe(self, model, batch) -> None:
-        """Sees each step's batch before the step trains on it."""
-
-    def update(self, policy: MixtureWeights, rng):
-        """The policy after a schedule point, and the rewards to record (or None)."""
-        return policy, None
-
-
-@dataclass(frozen=True)
-class StaticMixer(Mixer):
-    pass
-
-
-@dataclass(frozen=True)
-class RandomMixer(Mixer):
-    def update(self, policy, rng):
-        return MixtureWeights(rng.dirichlet(np.ones(len(policy)))), None
-
-
-class OdmMixer(Mixer):
-    """Exp3 over domains, rewarded by each domain's mean batch loss since the last point."""
-
-    def __init__(self, params: OdmParams):
-        self.params = params
-        self.state = None
-
-    def start(self, run):
-        self.window_sum = np.zeros(run.corpus.num_domains)
-        self.window_count = np.zeros(run.corpus.num_domains, dtype=np.int64)
-        return super().start(run)
-
-    def observe(self, model, batch):
-        for s, loss_i in zip(batch, batch_losses(model, batch)):
-            self.window_sum[s.domain_id] += loss_i
-            self.window_count[s.domain_id] += 1
-
-    def update(self, policy, rng):
-        losses = np.full(len(policy), np.nan)  # NaN marks a domain the window did not see
-        observed = self.window_count > 0
-        losses[observed] = self.window_sum[observed] / self.window_count[observed]
-        self.window_sum[:] = 0.0
-        self.window_count[:] = 0
-        if self.state is None:
-            self.state = odm_init(policy, self.params)
-        self.state = odm_update(self.state, losses, self.params)
-        rewards = np.maximum(self.state.ema_loss, self.params.clip_threshold) / self.params.reward_scale
-        return self.state.policy, [float(r) for r in rewards]
-
-
 class DoremiMixer(Mixer):
     """DoReMi: the static mixture that ``run_doremi_pipeline`` computes before the run.
 
-    The pipeline fires at the points with its own proxy model; the run fires none.
+    The pipeline's proxy stage fires at the points; the run itself fires
+    none, and carries the proxy's trajectory records and points.
     """
 
     def __init__(self, params: DoremiPipelineParams):
@@ -280,7 +232,7 @@ class DoremiMixer(Mixer):
         run.policy = pipeline.weights
         run.result.weight_trajectory.extend(pipeline.trajectory)
         run.result.invocations.extend(rec["step"] for rec in pipeline.trajectory)
-        return []
+        run.points = []
 
 
 def _same(params):
@@ -361,12 +313,16 @@ class _StaticRun:
     ``domain_ids``, which restricts each domain to the active selection's
     sorted ids (``None`` means the full corpus); and ``digest``, the active
     selection's ``id_set_digest`` (0 while the run trains on the full corpus).
-    The hooks update it and the eval records read it.
+    The hooks update it and the eval records read it. Model init, batch
+    sampling and the component draw from children ``seed_child``,
+    ``seed_child + 1`` and ``seed_child + 2`` of the run seed's sequence.
     """
 
-    def __init__(self, cfg: RunConfig, corpus: Corpus, val: Corpus, registry: ComponentRegistry):
+    def __init__(
+        self, cfg: RunConfig, corpus: Corpus, val: Optional[Corpus], registry: Optional[ComponentRegistry], seed_child: int = 0
+    ):
         self.cfg, self.corpus, self.val = cfg, corpus, val
-        kids = np.random.SeedSequence(cfg.seed).spawn(4)
+        kids = np.random.SeedSequence(cfg.seed).spawn(seed_child + 3)[seed_child:]
         self.model = init_model(cfg.model_cfg, np.random.default_rng(kids[0]))
         self.opt = init_optimizer(cfg.optim_cfg, self.model.params.size)
         self.rng_sample = np.random.default_rng(kids[1])
@@ -375,6 +331,41 @@ class _StaticRun:
         self.domain_ids, self.digest = None, 0
         self.result = RunResult(model=self.model, opt=self.opt, metrics=[])
         self.points = []
+
+    def drive(self, steps: int) -> RunResult:
+        """The one step engine: run steps ``1..steps`` and fire at ``points``.
+
+        Each step samples a batch from the data view and calls ``step``; a run
+        with a validation set then records an eval snapshot every
+        ``eval_interval`` steps. Each point calls ``fire`` under the rule of
+        ``invocation_steps`` (step 0 trains nothing, so point 0 fires before
+        step 1) and raises if that changed the model or optimizer state.
+        """
+        cfg, points = self.cfg, set(self.points)
+        for step in range(steps + 1):
+            if step > 0:
+                batch, _ = sample_batch(self.policy, self.corpus, cfg.optim_cfg.batch_size, self.rng_sample, domain_ids=self.domain_ids)
+                self.model, self.opt, loss = self.step(batch, step)
+                if self.val is not None and step % cfg.eval_interval == 0:
+                    ev = eval_per_domain(self.model, self.val)
+                    self.result.metrics.append(
+                        MetricsRecord(
+                            step=step,
+                            train_loss=loss,
+                            per_domain_val_loss=ev.per_domain,
+                            overall_val_loss=ev.overall,
+                            mixture=tuple(self.policy.weights),
+                            active_selection_digest=self.digest,
+                        )
+                    )
+            if step in points:
+                guard = state_digest(self.model, self.opt)
+                self.fire(step)
+                if state_digest(self.model, self.opt) != guard:
+                    raise RuntimeError("component invocation mutated model or optimizer state")
+                self.result.invocations.append(step)
+        self.result.model, self.result.opt = self.model, self.opt
+        return self.result
 
     def step(self, batch, step: int):
         """Train on ``batch`` at ``step``; returns (model, opt, train loss)."""
@@ -430,22 +421,21 @@ class _SelectRun(_StaticRun):
 
 
 class _MixRun(_StaticRun):
-    def __init__(self, cfg, corpus, val, registry):
-        super().__init__(cfg, corpus, val, registry)
-        self.mixer = registry.resolve("mixer", cfg.component_name, cfg.component_params)
+    """A run whose steps and points belong to its mixer (the registry's, unless one is given)."""
+
+    def __init__(self, cfg, corpus, val, registry, mixer: Optional[Mixer] = None, seed_child: int = 0):
+        super().__init__(cfg, corpus, val, registry, seed_child)
+        self.mixer = registry.resolve("mixer", cfg.component_name, cfg.component_params) if mixer is None else mixer
         self.result.weight_trajectory = []
-        self.points = self.mixer.start(self)
+        self.points = invocation_steps(cfg.schedule)
+        self.mixer.start(self)
 
     def step(self, batch, step):
-        self.mixer.observe(self.model, batch)
-        return super().step(batch, step)
+        return self.mixer.step(self.model, self.opt, batch)
 
     def fire(self, step):
-        self.policy, feedback = self.mixer.update(self.policy, self.rng)
-        record = {"step": step, "weights": [float(x) for x in self.policy.weights]}
-        if feedback is not None:
-            record["rewards"] = feedback
-        self.result.weight_trajectory.append(record)
+        self.policy, extra = self.mixer.update(self.policy, self.rng)
+        self.result.weight_trajectory.append({"step": step, "weights": [float(x) for x in self.policy.weights], **extra})
 
 
 class _WeightRun(_StaticRun):
@@ -480,37 +470,12 @@ _MODES = {
 
 
 def run_training(cfg: RunConfig, corpus: Corpus, val: Corpus, registry: Optional[ComponentRegistry] = None) -> RunResult:
-    """Run any of the four training modes; see the module docstring.
+    """Run any of the four training modes for ``max_steps`` steps; see the module docstring.
 
     Selectors and mixers fire at the points of ``invocation_steps``, under
-    the rule written there: step 0 trains nothing, so point 0 fires before
-    step 1. ``result.invocations`` lists the points that fired, which are
-    those ``<= max_steps`` (for ``doremi``, every point of its pipeline).
+    the rule written there. ``result.invocations`` lists the points that
+    fired, which are those ``<= max_steps`` (for ``doremi``, every point of
+    its pipeline).
     """
     validate_config(cfg, corpus)
-    run = _MODES[cfg.train_type](cfg, corpus, val, registry or DEFAULT_REGISTRY)
-    points = set(run.points)
-    for step in range(cfg.max_steps + 1):
-        if step > 0:
-            batch, _ = sample_batch(run.policy, corpus, cfg.optim_cfg.batch_size, run.rng_sample, domain_ids=run.domain_ids)
-            run.model, run.opt, loss = run.step(batch, step)
-            if step % cfg.eval_interval == 0:
-                ev = eval_per_domain(run.model, val)
-                run.result.metrics.append(
-                    MetricsRecord(
-                        step=step,
-                        train_loss=loss,
-                        per_domain_val_loss=ev.per_domain,
-                        overall_val_loss=ev.overall,
-                        mixture=tuple(run.policy.weights),
-                        active_selection_digest=run.digest,
-                    )
-                )
-        if step in points:
-            guard = state_digest(run.model, run.opt)
-            run.fire(step)
-            if state_digest(run.model, run.opt) != guard:
-                raise RuntimeError("component invocation mutated model or optimizer state")
-            run.result.invocations.append(step)
-    run.result.model, run.result.opt = run.model, run.opt
-    return run.result
+    return _MODES[cfg.train_type](cfg, corpus, val, registry or DEFAULT_REGISTRY).drive(cfg.max_steps)

@@ -5,11 +5,12 @@ line on stderr, never a traceback.
 """
 
 import json
+import warnings
 
 import pytest
 
 from dataflex.cli import main
-from dataflex.errors import BadParams
+from dataflex.errors import BadParams, ParseError
 
 BASE = {
     "model": "  vocab_size: 32\n  embed_dim: 6\n  hidden_dim: 8\n",
@@ -127,3 +128,23 @@ def test_ratio_that_keeps_no_sample_exits_with_bad_params(tmp_path, capsys):
     code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
     assert code == BadParams.exit_code
     assert len(err.splitlines()) == 1 and "ratio" in err
+
+
+@pytest.mark.parametrize("value", ["3", "[a, b]"])
+def test_data_section_that_is_not_a_mapping_exits_with_parse_error(tmp_path, capsys, value):
+    config = tmp_path / "run.yaml"
+    config.write_text("".join(f"{name}:\n{body}" for name, body in BASE.items() if name != "data") + f"data: {value}\n")
+    code, err = run_cli(capsys, "train", str(config), "--out-dir", str(tmp_path / "out"))
+    assert code == ParseError.exit_code
+    assert err.splitlines() == ["ParseError: section 'data' must be a mapping"]
+
+
+def test_mix_sim_odm_loss_for_zero_weight_domain_exits_with_bad_params(tmp_path, capsys):
+    dataflex = "  component_name: odm\n  init_mixture_proportions: [1.0, 0.0]\n"
+    config = write_config(tmp_path, dataflex=dataflex, mix_sim="  losses:\n    - [1.0, 2.0]\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_cli(capsys, "mix-sim", config, str(tmp_path / "traj.jsonl"))
+    assert code == BadParams.exit_code
+    assert len(err.splitlines()) == 1 and err.startswith("BadParams:") and "domain 1" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

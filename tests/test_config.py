@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dataflex import MixtureWeights, ModelCfg, OptimCfg, RunConfig, Schedule
 from dataflex.config import config_from_tree, parse_text, serialize_config
 from dataflex.core import TRAIN_TYPES
+from dataflex.trainers import DEFAULT_REGISTRY, select_params
 
 KEYS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,8}", fullmatch=True)
 # Words the parser reads as null, booleans or numbers must still come back as strings.
@@ -59,3 +60,13 @@ configs = st.builds(
 @given(configs)
 def test_serialize_round_trip(cfg):
     assert config_from_tree(parse_text(serialize_config(cfg))) == cfg
+
+
+def test_bare_none_is_a_string():
+    # Null is spelled null, ~ or nothing; ``none`` is the less selector's value for no preconditioning.
+    tree = parse_text(
+        "dataflex:\n  train_type: dynamic_select\n  component_name: less\n  component_params:\n    preconditioning: none\n"
+    )
+    cfg = config_from_tree(tree)
+    selector = DEFAULT_REGISTRY.resolve("selector", cfg.component_name, select_params(cfg.component_params)[1])
+    assert selector.params.preconditioning == "none"

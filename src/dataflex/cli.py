@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -38,18 +39,45 @@ from .trainers import run_training
 _DATA_KEYS = {"corpus", "validation", "synthetic"}
 
 
+@dataclass(frozen=True)
+class _Path:
+    """One file path read from a config section; ``3`` is the path ``3``."""
+
+    path: Optional[str] = None
+
+
+def _path(section: dict, key: str, label: str) -> Optional[str]:
+    """``section[key]`` read as ``params_from`` reads a str field, or None if absent."""
+    return params_from(_Path, {key: section[key]} if key in section else {}, label, {key: "path"}).path
+
+
+@dataclass(frozen=True)
+class MixSimParams:
+    """The ``mix_sim`` section: recorded loss vectors, one row per update.
+
+    doremi reads ``lambdas`` (excess losses), or else ``proxy_losses`` with
+    ``ref_losses``; odm reads ``losses``, where a null entry marks a domain
+    not observed in that round.
+    """
+
+    lambdas: Optional[list[list[float]]] = None
+    proxy_losses: Optional[list[list[float]]] = None
+    ref_losses: Optional[list[list[float]]] = None
+    losses: Optional[list[list[Optional[float]]]] = None
+
+
 def _build_data(tree: dict, cfg: RunConfig):
     """Load or generate (corpus, validation) from the config's data section."""
     section = _require_map(tree.get("data"), "data")
     unknown = set(section) - _DATA_KEYS
     if unknown:
         raise ParseError(f"unknown data key(s): {sorted(unknown)}")
-    if "corpus" in section:
-        corpus = read_corpus(section["corpus"], vocab_size=cfg.model_cfg.vocab_size)
-        if "validation" not in section:
+    corpus_path, val_path = (_path(section, key, "data") for key in ("corpus", "validation"))
+    if corpus_path is not None:
+        if val_path is None:
             raise ParseError("data.corpus requires data.validation")
-        val = read_corpus(section["validation"], domain_names=corpus.domain_names, vocab_size=cfg.model_cfg.vocab_size)
-        return corpus, val
+        corpus = read_corpus(corpus_path, cfg.model_cfg.vocab_size)
+        return corpus, read_corpus(val_path, cfg.model_cfg.vocab_size, domain_names=corpus.domain_names)
     if not isinstance(section.get("synthetic"), dict):
         raise ParseError("data section needs either 'corpus'/'validation' paths or a 'synthetic' block")
     synth = params_from(SyntheticParams, section["synthetic"], "data.synthetic")
@@ -97,7 +125,7 @@ def _out_dir(tree: dict, args, config_path) -> Path:
     if getattr(args, "out_dir", None):
         out = Path(args.out_dir)
     else:
-        configured = (tree.get("train") or {}).get("out_dir")
+        configured = _path(tree.get("train") or {}, "out_dir", "train")
         out = Path(configured) if configured else Path("runs") / Path(config_path).stem
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -154,17 +182,17 @@ def _cmd_score(args) -> int:
 
 def _cmd_mix_sim(args) -> int:
     tree, cfg = _load_run_inputs(args.config, args)
-    sim = tree.get("mix_sim") or {}
+    sim = params_from(MixSimParams, _require_map(tree.get("mix_sim"), "mix_sim"), "mix_sim")
     name = cfg.component_name
     trajectory = []
     if name == "doremi":
         knobs = params_from(DoremiPipelineParams, cfg.component_params, "doremi mixer")
-        if "lambdas" in sim:
-            lambdas = [np.asarray(v, dtype=np.float64) for v in sim["lambdas"]]
-        elif "proxy_losses" in sim and "ref_losses" in sim:
+        if sim.lambdas is not None:
+            lambdas = [np.asarray(v, dtype=np.float64) for v in sim.lambdas]
+        elif sim.proxy_losses is not None and sim.ref_losses is not None:
             lambdas = [
                 excess_loss(np.asarray(p, dtype=np.float64), np.asarray(r, dtype=np.float64), clip=knobs.clip_excess)
-                for p, r in zip(sim["proxy_losses"], sim["ref_losses"])
+                for p, r in zip(sim.proxy_losses, sim.ref_losses)
             ]
         else:
             raise ParseError("mix_sim for doremi needs 'lambdas' or 'proxy_losses'+'ref_losses'")
@@ -178,10 +206,9 @@ def _cmd_mix_sim(args) -> int:
             trajectory.append({"update": i, "weights": [float(x) for x in alpha.weights], "excess_losses": [float(x) for x in lam]})
     elif name == "odm":
         params = params_from(OdmParams, cfg.component_params, "odm mixer")
-        losses_seq = sim.get("losses")
-        if not losses_seq:
+        if not sim.losses:
             raise ParseError("mix_sim for odm needs a 'losses' sequence")
-        vectors = [np.array([np.nan if x is None else float(x) for x in row]) for row in losses_seq]
+        vectors = [np.array([np.nan if x is None else x for x in row]) for row in sim.losses]
         k = vectors[0].size
         state = odm_init(cfg.init_mixture_proportions or MixtureWeights.uniform(k), params)
         for i, losses in enumerate(vectors):

@@ -143,15 +143,14 @@ def build_domain_specs(
     vocab_size: int,
     seed: int = 0,
     noise_domains: Sequence[int] = (),
-    shared_tokens: Optional[int] = None,
     mean_length: int = 12,
-    length_jitter: int = 3,
-    names: Optional[Sequence[str]] = None,
 ) -> list:
-    """Partition the vocabulary into K contiguous private slices plus a shared prefix."""
+    """Partition the vocabulary into K contiguous private slices plus a shared
+    prefix of ``vocab_size // 8`` tokens; domain ``d`` is named ``domain_d``.
+    """
     if num_domains < 1:
         raise ValueError("num_domains must be >= 1")
-    shared = vocab_size // 8 if shared_tokens is None else shared_tokens
+    shared = vocab_size // 8
     usable = vocab_size - shared
     if usable < num_domains:
         raise ValueError(f"vocab of {vocab_size} too small for {num_domains} domains with {shared} shared tokens")
@@ -161,7 +160,7 @@ def build_domain_specs(
         is_noise = d in set(noise_domains)
         specs.append(
             DomainSpec(
-                name=names[d] if names is not None else f"domain_{d}",
+                name=f"domain_{d}",
                 vocab_size=vocab_size,
                 private_slice=(int(bounds[d]), int(bounds[d + 1])),
                 shared_slice=(0, shared),
@@ -170,7 +169,6 @@ def build_domain_specs(
                 uniform_noise=1.0 if is_noise else 0.02,
                 bigram_seed=seed * 1000 + d,
                 mean_length=mean_length,
-                length_jitter=length_jitter,
             )
         )
     return specs

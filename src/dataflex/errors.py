@@ -115,30 +115,7 @@ class UnknownComponent(DataflexError):
 IO_ERROR_EXIT_CODE = 25
 
 #: All error classes, in exit-code order; rendered into the CLI help text.
-ERROR_CLASSES = [
-    DataflexError,
-    ParseError,
-    UnknownKey,
-    UnknownTrainType,
-    BadSimplex,
-    BadSchedule,
-    BadProportions,
-    BadMode,
-    TooShort,
-    LengthMismatch,
-    NegativeWeight,
-    NotAdam,
-    ColdOptimizer,
-    EmptyValidation,
-    KTooLarge,
-    BadParams,
-    NonFinite,
-    NegativeLoss,
-    NonFiniteMetric,
-    EmptyDomainWithMass,
-    DuplicateName,
-    UnknownComponent,
-]
+ERROR_CLASSES = [DataflexError, *sorted(DataflexError.__subclasses__(), key=lambda cls: cls.exit_code)]
 
 
 def exit_code_table() -> str:

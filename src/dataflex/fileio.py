@@ -1,9 +1,13 @@
 """Line-delimited JSON serialization for corpora, metrics, scores, and
 weight trajectories, plus the versioned checkpoint blob.
 
-Metrics records serialize with a fixed field order so byte digests of a
-metrics stream are stable across identical runs. Floats round-trip exactly
-(shortest-repr JSON encoding).
+A metrics line is ``dataclasses.asdict`` of its ``MetricsRecord``, so the
+record's field order is the line's key order and byte digests of a metrics
+stream are stable across identical runs. A checkpoint file holds the
+``Checkpoint``'s model and optimizer state under fixed keys. Floats
+round-trip exactly (shortest-repr JSON encoding). A malformed corpus,
+metrics or checkpoint file raises ``ParseError``, naming the line for
+line-delimited files.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import logging
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -19,10 +22,8 @@ import numpy as np
 
 from .core import Corpus, MetricsRecord, ModelCfg, OptimCfg, Sample, params_from
 from .errors import BadParams, ParseError
-from .model import Checkpoint
+from .model import Checkpoint, ModelState, OptimizerState
 from .selectors import ScoreVector
-
-logger = logging.getLogger(__name__)
 
 CHECKPOINT_VERSION = 1
 
@@ -36,20 +37,19 @@ def write_corpus(path, corpus: Corpus) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def read_corpus(
-    path,
-    domain_names: Optional[Sequence[str]] = None,
-    vocab_size: Optional[int] = None,
-    strict: bool = True,
-) -> Corpus:
-    """Load a corpus file; unknown record keys are rejected (or warned about
-    with ``strict=False``). Domain names default to order of first appearance;
-    vocab size defaults to max token + 1.
+def read_corpus(path, vocab_size: int, domain_names: Optional[Sequence[str]] = None) -> Corpus:
+    """Load a corpus file written by ``write_corpus``.
+
+    Each line is one record with exactly the keys ``id``, ``domain`` and
+    ``tokens``. Domain names default to their order of first appearance;
+    with ``domain_names`` given, any other domain is an error. A record that
+    is not such an object, or whose sample is invalid (a bad id or token, a
+    token outside ``[0, vocab_size)``, a repeated id), raises ``ParseError``
+    naming its line.
     """
-    names = list(domain_names) if domain_names is not None else []
+    names = list(domain_names or ())
     index = {name: i for i, name in enumerate(names)}
-    samples = []
-    max_token = -1
+    samples = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -58,11 +58,11 @@ def read_corpus(
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"corrupt corpus record: {exc.msg}", lineno) from None
+            if not isinstance(rec, dict):
+                raise ParseError(f"corpus record must be an object, got {type(rec).__name__}", lineno)
             unknown = set(rec) - _CORPUS_KEYS
             if unknown:
-                if strict:
-                    raise ParseError(f"unknown corpus key(s) {sorted(unknown)}", lineno)
-                logger.warning("corpus line %d: ignoring unknown key(s) %s", lineno, sorted(unknown))
+                raise ParseError(f"unknown corpus key(s) {sorted(unknown)}", lineno)
             missing = _CORPUS_KEYS - set(rec)
             if missing:
                 raise ParseError(f"missing corpus key(s) {sorted(missing)}", lineno)
@@ -72,29 +72,22 @@ def read_corpus(
                     raise ParseError(f"unknown domain {domain!r}", lineno)
                 index[domain] = len(names)
                 names.append(domain)
-            tokens = rec["tokens"]
-            if tokens:
-                max_token = max(max_token, max(tokens))
-            samples.append(Sample(id=int(rec["id"]), domain_id=index[domain], token_ids=np.asarray(tokens, dtype=np.int64)))
+            try:
+                s = Sample(id=int(rec["id"]), domain_id=index[domain], token_ids=np.asarray(rec["tokens"], dtype=np.int64))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(f"bad corpus record: {exc}", lineno) from None
+            if s.id in samples:
+                raise ParseError(f"duplicate sample id {s.id}", lineno)
+            if int(s.token_ids.max()) >= vocab_size:
+                raise ParseError(f"sample {s.id}: token out of vocabulary range [0, {vocab_size})", lineno)
+            samples[s.id] = s
     if not samples:
         raise ParseError(f"corpus file {path} is empty")
-    v = vocab_size if vocab_size is not None else max_token + 1
-    return Corpus(samples, tuple(names), v)
-
-
-def record_to_dict(record: MetricsRecord) -> dict:
-    return {
-        "step": record.step,
-        "train_loss": record.train_loss,
-        "per_domain_val_loss": [[d, v] for d, v in record.per_domain_val_loss],
-        "overall_val_loss": record.overall_val_loss,
-        "mixture": list(record.mixture),
-        "active_selection_digest": record.active_selection_digest,
-    }
+    return Corpus(samples.values(), tuple(names), vocab_size)
 
 
 def record_to_line(record: MetricsRecord) -> str:
-    return json.dumps(record_to_dict(record))
+    return json.dumps(dataclasses.asdict(record))
 
 
 def record_from_dict(payload: dict) -> MetricsRecord:
@@ -108,12 +101,8 @@ def record_from_dict(payload: dict) -> MetricsRecord:
     )
 
 
-def write_metrics(path_or_stream, records: Iterable[MetricsRecord]) -> None:
-    if hasattr(path_or_stream, "write"):
-        for r in records:
-            path_or_stream.write(record_to_line(r) + "\n")
-        return
-    with open(path_or_stream, "w") as fh:
+def write_metrics(path, records: Iterable[MetricsRecord]) -> None:
+    with open(path, "w") as fh:
         for r in records:
             fh.write(record_to_line(r) + "\n")
 
@@ -154,16 +143,17 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    model, opt = ckpt.model, ckpt.opt
     payload = {
         "version": CHECKPOINT_VERSION,
-        "arch": dataclasses.asdict(ckpt.arch),
-        "params": ckpt.params.tolist(),
+        "arch": dataclasses.asdict(model.arch),
+        "params": model.params.tolist(),
         "opt": {
-            "kind": ckpt.opt_kind,
-            "hyper": dataclasses.asdict(ckpt.opt_hyper),
-            "m": None if ckpt.opt_m is None else ckpt.opt_m.tolist(),
-            "v": None if ckpt.opt_v is None else ckpt.opt_v.tolist(),
-            "t": ckpt.opt_t,
+            "kind": opt.kind,
+            "hyper": dataclasses.asdict(opt.hyper),
+            "m": None if opt.m is None else opt.m.tolist(),
+            "v": None if opt.v is None else opt.v.tolist(),
+            "t": opt.t,
         },
     }
     Path(path).write_text(json.dumps(payload))
@@ -189,14 +179,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise ParseError(f"unsupported checkpoint version {version!r}; this release reads {CHECKPOINT_VERSION}")
     try:
         opt = payload["opt"]
+        m, v = (None if opt[key] is None else np.asarray(opt[key], dtype=np.float64) for key in ("m", "v"))
         return Checkpoint(
-            arch=_checkpoint_section(ModelCfg, payload["arch"], "arch"),
-            params=np.asarray(payload["params"], dtype=np.float64),
-            opt_kind=opt["kind"],
-            opt_hyper=_checkpoint_section(OptimCfg, opt["hyper"], "opt.hyper"),
-            opt_m=None if opt["m"] is None else np.asarray(opt["m"], dtype=np.float64),
-            opt_v=None if opt["v"] is None else np.asarray(opt["v"], dtype=np.float64),
-            opt_t=int(opt["t"]),
+            ModelState(_checkpoint_section(ModelCfg, payload["arch"], "arch"), payload["params"]),
+            OptimizerState(opt["kind"], _checkpoint_section(OptimCfg, opt["hyper"], "opt.hyper"), m, v, int(opt["t"])),
         )
     except KeyError as exc:
         raise ParseError(f"checkpoint is missing key {exc}") from None

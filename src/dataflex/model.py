@@ -9,6 +9,12 @@ preconditioning) are trivial.
 Parameter layout: [embedding V*E | hidden weights E*H | hidden bias H |
 output weights H*V | output bias V], all float64.
 
+Each rule is written once: ``_hidden`` is the one tanh layer, ``_forward``
+the one next-token pass (loss, gradient and top-1 accuracy all read it),
+``_adam_moments`` the one bias-corrected Adam update (``train_step`` applies
+it, ``adam_precondition`` reports it), and ``_copy_state`` the one deep copy
+of a (model, optimizer) pair (``snapshot`` and ``restore``).
+
 All functions here are pure over immutable state: ``train_step`` returns new
 (model, optimizer) values instead of mutating. Per-sample accumulation runs
 in batch order so identical inputs reproduce bitwise-identical results.
@@ -16,6 +22,7 @@ in batch order so identical inputs reproduce bitwise-identical results.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
@@ -97,15 +104,14 @@ class EmbeddingVector:
 
 @dataclass(frozen=True, eq=False)
 class Checkpoint:
-    """Deep snapshot of (model, optimizer); restore() is a bitwise inverse."""
+    """A (model, optimizer) pair that shares no array with the live state.
 
-    arch: ModelCfg
-    params: np.ndarray
-    opt_kind: str
-    opt_hyper: OptimCfg
-    opt_m: Optional[np.ndarray]
-    opt_v: Optional[np.ndarray]
-    opt_t: int
+    ``snapshot`` takes one and ``restore`` is its bitwise inverse;
+    ``fileio.save_checkpoint`` writes exactly these two values.
+    """
+
+    model: ModelState
+    opt: OptimizerState
 
 
 def init_model(arch: ModelCfg, rng: np.random.Generator, scale: float = 0.1) -> ModelState:
@@ -130,28 +136,36 @@ def _check_sample(model: ModelState, s: Sample) -> None:
         raise ValueError(f"sample {s.id} has tokens outside vocab of size {model.arch.vocab_size}")
 
 
-def _hidden(model: ModelState, tokens: np.ndarray) -> np.ndarray:
-    emb, w1, b1, _, _ = model.unpack()
-    return np.tanh(emb[tokens] @ w1 + b1)
+def _hidden(params, tokens: np.ndarray):
+    """Gathered embedding rows and tanh hidden activations of ``tokens``."""
+    emb, w1, b1, _, _ = params
+    x = emb[tokens]
+    return x, np.tanh(x @ w1 + b1)
 
 
-def _log_probs(hidden: np.ndarray, w2: np.ndarray, b2: np.ndarray):
-    logits = hidden @ w2 + b2
+def _forward(model: ModelState, s: Sample):
+    """The next-token forward pass over positions 0..len-2 of ``s``.
+
+    Returns the unpacked parameters, the gathered embedding rows, the hidden
+    activations and the logits, so that the backward pass reuses all four.
+    """
+    _check_sample(model, s)
+    params = model.unpack()
+    x, hid = _hidden(params, s.token_ids[:-1])
+    *_, w2, b2 = params
+    return params, x, hid, hid @ w2 + b2
+
+
+def _cross_entropy(logits: np.ndarray, targets: np.ndarray):
+    """Mean cross-entropy of ``targets``, with the shifted logits and log-partition."""
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    return shifted, log_z  # log p = shifted - log_z
+    log_z = np.log(np.exp(shifted).sum(axis=1))  # log p = shifted - log_z
+    return float(np.mean(log_z - shifted[np.arange(targets.size), targets])), shifted, log_z
 
 
 def per_sample_loss(model: ModelState, s: Sample) -> float:
     """Mean next-token cross-entropy over positions 1..len-1."""
-    _check_sample(model, s)
-    tokens = s.token_ids
-    _, _, _, w2, b2 = model.unpack()
-    hid = _hidden(model, tokens[:-1])
-    shifted, log_z = _log_probs(hid, w2, b2)
-    targets = tokens[1:]
-    rows = np.arange(targets.size)
-    return float(np.mean(log_z - shifted[rows, targets]))
+    return _cross_entropy(_forward(model, s)[3], s.token_ids[1:])[0]
 
 
 def batch_losses(model: ModelState, batch: Sequence[Sample]) -> np.ndarray:
@@ -159,23 +173,13 @@ def batch_losses(model: ModelState, batch: Sequence[Sample]) -> np.ndarray:
 
 
 def _loss_and_grad(model: ModelState, s: Sample):
-    _check_sample(model, s)
-    tokens = s.token_ids
-    emb, w1, b1, w2, b2 = model.unpack()
-    inputs = tokens[:-1]
-    targets = tokens[1:]
-    n_pos = inputs.size
+    (emb, w1, _, w2, _), x, hid, logits = _forward(model, s)
+    inputs, targets = s.token_ids[:-1], s.token_ids[1:]
+    loss, shifted, log_z = _cross_entropy(logits, targets)
 
-    x = emb[inputs]                       # (P, E)
-    hid = np.tanh(x @ w1 + b1)            # (P, H)
-    shifted, log_z = _log_probs(hid, w2, b2)
-    rows = np.arange(n_pos)
-    loss = float(np.mean(log_z - shifted[rows, targets]))
-
-    probs = np.exp(shifted - log_z[:, None])
-    d_logits = probs
-    d_logits[rows, targets] -= 1.0
-    d_logits /= n_pos                     # gradient of the positional mean
+    d_logits = np.exp(shifted - log_z[:, None])  # probabilities
+    d_logits[np.arange(targets.size), targets] -= 1.0
+    d_logits /= targets.size              # gradient of the positional mean
 
     d_w2 = hid.T @ d_logits
     d_b2 = d_logits.sum(axis=0)
@@ -200,7 +204,7 @@ def embed(model: ModelState, s: Sample) -> EmbeddingVector:
     """Sentence embedding: mean hidden activation over all token positions."""
     if int(s.token_ids.max()) >= model.arch.vocab_size:
         raise ValueError(f"sample {s.id} has tokens outside vocab of size {model.arch.vocab_size}")
-    return EmbeddingVector.from_values(_hidden(model, s.token_ids).mean(axis=0))
+    return EmbeddingVector.from_values(_hidden(model.unpack(), s.token_ids)[1].mean(axis=0))
 
 
 def sgd_step(model: ModelState, lr: float, grad: np.ndarray) -> ModelState:
@@ -236,19 +240,23 @@ def train_step(
     grad /= n
     wloss /= n
 
-    cfg = opt.hyper
+    lr = opt.hyper.learning_rate
     if opt.kind == "sgd":
-        new_model = ModelState(model.arch, model.params - cfg.learning_rate * grad)
-        new_opt = OptimizerState("sgd", cfg, None, None, opt.t + 1)
-    else:
-        t = opt.t + 1
-        m = cfg.beta1 * opt.m + (1.0 - cfg.beta1) * grad
-        v = cfg.beta2 * opt.v + (1.0 - cfg.beta2) * grad * grad
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        new_model = ModelState(model.arch, model.params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps))
-        new_opt = OptimizerState("adam", cfg, m, v, t)
-    return new_model, new_opt, float(wloss)
+        return sgd_step(model, lr, grad), dataclasses.replace(opt, t=opt.t + 1), float(wloss)
+    new_opt, m_hat, denom = _adam_moments(grad, opt)
+    return ModelState(model.arch, model.params - lr * m_hat / denom), new_opt, float(wloss)
+
+
+def _adam_moments(grad: np.ndarray, opt: OptimizerState):
+    """Adam's state after ``grad`` at step t+1, with its bias-corrected first
+    moment and denominator: the step is ``-lr * m_hat / denom``.
+    """
+    cfg = opt.hyper
+    t = opt.t + 1
+    m = cfg.beta1 * opt.m + (1.0 - cfg.beta1) * grad
+    v = cfg.beta2 * opt.v + (1.0 - cfg.beta2) * grad * grad
+    denom = np.sqrt(v / (1.0 - cfg.beta2 ** t)) + cfg.eps
+    return OptimizerState("adam", cfg, m, v, t), m / (1.0 - cfg.beta1 ** t), denom
 
 
 def adam_precondition(grad: np.ndarray, opt: OptimizerState) -> np.ndarray:
@@ -261,35 +269,22 @@ def adam_precondition(grad: np.ndarray, opt: OptimizerState) -> np.ndarray:
         raise NotAdam(f"adam preconditioning requested on a {opt.kind!r} optimizer")
     if opt.t < 1:
         raise ColdOptimizer("adam preconditioning needs at least one completed optimizer step")
-    cfg = opt.hyper
-    t = opt.t + 1
-    m = (cfg.beta1 * opt.m + (1.0 - cfg.beta1) * grad) / (1.0 - cfg.beta1 ** t)
-    v = (cfg.beta2 * opt.v + (1.0 - cfg.beta2) * grad * grad) / (1.0 - cfg.beta2 ** t)
-    return m / (np.sqrt(v) + cfg.eps)
+    _, m_hat, denom = _adam_moments(grad, opt)
+    return m_hat / denom
+
+
+def _copy_state(model: ModelState, opt: OptimizerState):
+    """Copies of (model, opt) that share no array with the originals."""
+    m, v = (None if a is None else a.copy() for a in (opt.m, opt.v))
+    return ModelState(model.arch, model.params), dataclasses.replace(opt, m=m, v=v)
 
 
 def snapshot(model: ModelState, opt: OptimizerState) -> Checkpoint:
-    return Checkpoint(
-        arch=model.arch,
-        params=model.params.copy(),
-        opt_kind=opt.kind,
-        opt_hyper=opt.hyper,
-        opt_m=None if opt.m is None else opt.m.copy(),
-        opt_v=None if opt.v is None else opt.v.copy(),
-        opt_t=opt.t,
-    )
+    return Checkpoint(*_copy_state(model, opt))
 
 
 def restore(ckpt: Checkpoint):
-    model = ModelState(ckpt.arch, ckpt.params.copy())
-    opt = OptimizerState(
-        ckpt.opt_kind,
-        ckpt.opt_hyper,
-        None if ckpt.opt_m is None else ckpt.opt_m.copy(),
-        None if ckpt.opt_v is None else ckpt.opt_v.copy(),
-        ckpt.opt_t,
-    )
-    return model, opt
+    return _copy_state(ckpt.model, ckpt.opt)
 
 
 def state_digest(model: ModelState, opt: OptimizerState) -> str:
@@ -303,11 +298,6 @@ def state_digest(model: ModelState, opt: OptimizerState) -> str:
 
 
 def checkpoint_digest(ckpt: Checkpoint) -> str:
-    h = hashlib.sha256()
-    h.update(repr(ckpt.arch).encode())
-    h.update(ckpt.params.tobytes())
-    h.update(ckpt.opt_kind.encode())
-    h.update(str(ckpt.opt_t).encode())
-    for arr in (ckpt.opt_m, ckpt.opt_v):
-        h.update(b"-" if arr is None else arr.tobytes())
-    return h.hexdigest()
+    """``state_digest`` of the checkpoint, extended by its architecture and optimizer kind."""
+    key = f"{ckpt.model.arch!r}|{ckpt.opt.kind}|{state_digest(ckpt.model, ckpt.opt)}"
+    return hashlib.sha256(key.encode()).hexdigest()

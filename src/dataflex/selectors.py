@@ -27,9 +27,9 @@ from .errors import (
 )
 from .model import (
     Checkpoint,
-    EmbeddingVector,
     ModelState,
     OptimizerState,
+    _forward,
     adam_precondition,
     per_sample_gradient,
     per_sample_loss,
@@ -41,6 +41,7 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 _GRAD_CHUNK = 128
+_SIGN_BLOCK = 2048  # input coordinates per regenerated block of signs
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,11 +119,10 @@ class SignProjection:
     deterministic function of (seed, dim_in, dim_out).
     """
 
-    def __init__(self, dim_out: int, dim_in: int, seed: int, block: int = 2048):
+    def __init__(self, dim_out: int, dim_in: int, seed: int):
         self.dim_out = dim_out
         self.dim_in = dim_in
         self.seed = seed
-        self.block = block
 
     def project(self, mat: np.ndarray) -> np.ndarray:
         mat = np.atleast_2d(mat)
@@ -130,8 +130,8 @@ class SignProjection:
             raise ValueError(f"expected {self.dim_in} columns, got {mat.shape[1]}")
         rng = np.random.default_rng(self.seed)
         out = np.zeros((mat.shape[0], self.dim_out))
-        for start in range(0, self.dim_in, self.block):
-            stop = min(start + self.block, self.dim_in)
+        for start in range(0, self.dim_in, _SIGN_BLOCK):
+            stop = min(start + _SIGN_BLOCK, self.dim_in)
             signs = rng.integers(0, 2, size=(stop - start, self.dim_out)).astype(np.float64) * 2.0 - 1.0
             out += mat[:, start:stop] @ signs
         return out / np.sqrt(self.dim_out)
@@ -261,12 +261,9 @@ def top1_accuracy_metric(val_set: Sequence[Sample]) -> Callable[[ModelState], fl
         hits = 0
         total = 0
         for s in val_set:
-            tokens = s.token_ids
-            emb, w1, b1, w2, b2 = model.unpack()
-            hid = np.tanh(emb[tokens[:-1]] @ w1 + b1)
-            pred = np.argmax(hid @ w2 + b2, axis=1)
-            hits += int(np.sum(pred == tokens[1:]))
-            total += tokens.size - 1
+            pred = np.argmax(_forward(model, s)[3], axis=1)
+            hits += int(np.sum(pred == s.token_ids[1:]))
+            total += len(s) - 1
         return hits / total
 
     return metric
@@ -302,9 +299,7 @@ def score_probe(
 
 
 def _as_matrix(embeddings) -> np.ndarray:
-    if isinstance(embeddings, np.ndarray):
-        return np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    return np.stack([e.values if isinstance(e, EmbeddingVector) else np.asarray(e, dtype=np.float64) for e in embeddings])
+    return np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
 
 
 def score_knn(pool_embeddings, val_embeddings, k: int, pool_ids: Optional[np.ndarray] = None) -> ScoreVector:

@@ -9,8 +9,10 @@ import warnings
 
 import pytest
 
+from dataflex import MixtureWeights, build_domain_specs, empirical_proportions, generate_corpus, make_validation
 from dataflex.cli import main
 from dataflex.errors import BadParams, ParseError
+from dataflex.fileio import write_corpus
 
 BASE = {
     "model": "  vocab_size: 32\n  embed_dim: 6\n  hidden_dim: 8\n",
@@ -148,3 +150,97 @@ def test_mix_sim_odm_loss_for_zero_weight_domain_exits_with_bad_params(tmp_path,
     assert code == BadParams.exit_code
     assert len(err.splitlines()) == 1 and err.startswith("BadParams:") and "domain 1" in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_mix_sim_section_that_is_not_a_mapping_exits_with_parse_error(tmp_path, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_text("".join(f"{name}:\n{body}" for name, body in BASE.items()) + "  component_name: odm\nmix_sim: 3\n")
+    code, err = run_cli(capsys, "mix-sim", str(config), str(tmp_path / "traj.jsonl"))
+    assert code == ParseError.exit_code
+    assert err.splitlines() == ["ParseError: section 'mix_sim' must be a mapping"]
+
+
+@pytest.mark.parametrize(
+    "name,sim,key",
+    [
+        ("doremi", "  lambdas: 5\n", "lambdas"),
+        ("doremi", "  lambdas:\n    - [1.0, abc]\n", "lambdas"),
+        ("doremi", "  proxy_losses:\n    - 2.0\n  ref_losses:\n    - [1.0, 1.0]\n", "proxy_losses"),
+        ("odm", "  losses:\n    - [1.0, true]\n", "losses"),
+        ("odm", "  loses:\n    - [1.0, 2.0]\n", "['loses']"),
+    ],
+)
+def test_mix_sim_bad_entry_or_unknown_key_exits_with_bad_params(tmp_path, capsys, name, sim, key):
+    config = write_config(tmp_path, dataflex=f"  component_name: {name}\n", mix_sim=sim)
+    code, err = run_cli(capsys, "mix-sim", config, str(tmp_path / "traj.jsonl"))
+    assert code == BadParams.exit_code
+    assert len(err.splitlines()) == 1 and err.startswith("BadParams:") and key in err
+
+
+GOOD_RECORD = '{"id": 0, "domain": "a", "tokens": [1, 2, 3]}\n'
+
+
+def corpus_data(tmp_path, corpus_text, corpus="corpus.jsonl"):
+    """A data section that reads ``corpus_text`` from the file ``corpus``, relative to ``tmp_path``."""
+    (tmp_path / corpus).write_text(corpus_text)
+    (tmp_path / "val.jsonl").write_text('{"id": 50, "domain": "a", "tokens": [4, 5, 6]}\n')
+    return f"  corpus: {corpus}\n  validation: val.jsonl\n"
+
+
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        ('{"id": "abc", "domain": "a", "tokens": [1, 2]}', "invalid literal"),
+        ('{"id": 1, "domain": "a", "tokens": "12"}', "non-empty 1-D"),
+        ('{"id": 1, "domain": "a", "tokens": [1, -2]}', "negative token"),
+        ('{"id": 1, "domain": "a", "tokens": [1, 32]}', "out of vocabulary"),
+        ('{"id": 0, "domain": "a", "tokens": [1, 2]}', "duplicate sample id 0"),
+        ("3", "must be an object"),
+    ],
+)
+def test_bad_corpus_record_exits_with_parse_error_naming_its_line(tmp_path, capsys, monkeypatch, record, message):
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, data=corpus_data(tmp_path, GOOD_RECORD + record + "\n"))
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == ParseError.exit_code
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ParseError: line 2:") and message in err
+
+
+def test_numeric_paths_are_file_names(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = corpus_data(tmp_path, GOOD_RECORD + '{"id": 1, "domain": "a", "tokens": [2, 3]}\n', corpus="3")
+    config = write_config(tmp_path, data=data, train=BASE["train"] + "  out_dir: 7\n")
+    code, err = run_cli(capsys, "train", config)
+    assert (code, err) == (0, "")
+    assert (tmp_path / "7" / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "data,train,key",
+    [
+        ("  corpus: [a, b]\n  validation: val.jsonl\n", "", "data: corpus"),
+        ("  corpus: corpus.jsonl\n  validation: [a, b]\n", "", "data: validation"),
+        (BASE["data"], "  out_dir: [a, b]\n", "train: out_dir"),
+    ],
+)
+def test_path_that_is_a_list_exits_with_bad_params(tmp_path, capsys, monkeypatch, data, train, key):
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, data=data, train=BASE["train"] + train)
+    code, err = run_cli(capsys, "train", config)
+    assert code == BadParams.exit_code
+    assert len(err.splitlines()) == 1 and err.startswith(f"BadParams: {key} = ['a', 'b'] is not a valid")
+
+
+def test_corpus_files_reproduce_the_synthetic_run(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "synthetic")) == (0, "")
+    assert run_cli(capsys, "gen-data", config, str(tmp_path / "corpus.jsonl")) == (0, "")
+    specs = build_domain_specs(2, 32, seed=1)
+    corpus = generate_corpus(specs, MixtureWeights.uniform(2), 40, 1)
+    write_corpus(tmp_path / "val.jsonl", make_validation(specs, "in_distribution", 10, 2, empirical_proportions(corpus)))
+    data = f"  corpus: {tmp_path / 'corpus.jsonl'}\n  validation: {tmp_path / 'val.jsonl'}\n"
+    config = write_config(tmp_path, data=data)
+    assert run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "files")) == (0, "")
+    for name in ("metrics.jsonl", "checkpoint.json"):
+        assert (tmp_path / "files" / name).read_bytes() == (tmp_path / "synthetic" / name).read_bytes()

@@ -86,3 +86,9 @@ def test_read_metrics_names_last_good_line(tmp_path):
         read_metrics(path)
     assert info.value.line == 4
     assert "last good record ends at line 2" in str(info.value)
+
+
+def test_params_of_the_wrong_length(checkpoint_file):
+    edit(checkpoint_file, lambda p: p["params"].pop())
+    with pytest.raises(ParseError, match="params length"):
+        load_checkpoint(checkpoint_file)

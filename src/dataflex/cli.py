@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .config import _require_map, config_from_tree, load_config_tree
-from .core import MixtureWeights, RunConfig, Schedule, empirical_proportions, params_from, validate_config
+from .core import MixtureWeights, RunConfig, Schedule, check_keys, empirical_proportions, params_from, validate_config
 from .data import SyntheticParams, build_domain_specs, generate_corpus, make_validation
 from .errors import IO_ERROR_EXIT_CODE, DataflexError, ParseError, exit_code_table
 from .fileio import (
@@ -35,8 +35,6 @@ from .fileio import (
 from .mixers import DoremiPipelineParams, OdmParams, doremi_update, excess_loss, odm_init, odm_update
 from .model import snapshot
 from .trainers import run_training
-
-_DATA_KEYS = {"corpus", "validation", "synthetic"}
 
 
 @dataclass(frozen=True)
@@ -69,9 +67,7 @@ class MixSimParams:
 def _build_data(tree: dict, cfg: RunConfig):
     """Load or generate (corpus, validation) from the config's data section."""
     section = _require_map(tree.get("data"), "data")
-    unknown = set(section) - _DATA_KEYS
-    if unknown:
-        raise ParseError(f"unknown data key(s): {sorted(unknown)}")
+    check_keys(section, ("corpus", "validation", "synthetic"), "data")
     corpus_path, val_path = (_path(section, key, "data") for key in ("corpus", "validation"))
     if corpus_path is not None:
         if val_path is None:
@@ -109,16 +105,9 @@ def _build_data(tree: dict, cfg: RunConfig):
 def _load_run_inputs(config_path, args):
     tree = load_config_tree(config_path)
     cfg = config_from_tree(tree)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "max_steps", None) is not None:
-        overrides["max_steps"] = args.max_steps
-    if getattr(args, "eval_interval", None) is not None:
-        overrides["eval_interval"] = args.eval_interval
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return tree, cfg
+    flags = ("seed", "max_steps", "eval_interval")  # a flag given on the command line wins
+    overrides = {key: getattr(args, key) for key in flags if getattr(args, key, None) is not None}
+    return tree, dataclasses.replace(cfg, **overrides)
 
 
 def _out_dir(tree: dict, args, config_path) -> Path:

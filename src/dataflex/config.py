@@ -18,8 +18,8 @@ import re
 import typing
 from pathlib import Path
 
-from .core import MixtureWeights, RunConfig, params_from
-from .errors import ParseError, UnknownKey
+from .core import MixtureWeights, RunConfig, check_keys, params_from
+from .errors import ParseError
 
 _BARE_KEY = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
 
@@ -167,9 +167,7 @@ def parse_text(text: str) -> dict:
 def load_config_tree(path) -> dict:
     text = Path(path).read_text()
     tree = parse_text(text)
-    for section in tree:
-        if section not in TOP_LEVEL_SECTIONS:
-            raise UnknownKey(f"unknown top-level section {section!r}; expected one of {TOP_LEVEL_SECTIONS}")
+    check_keys(tree, TOP_LEVEL_SECTIONS, "config")
     return tree
 
 
@@ -181,19 +179,13 @@ def _require_map(value, name: str) -> dict:
     return value
 
 
-def _check_keys(section: dict, allowed, name: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise UnknownKey(f"unknown {name} key(s): {unknown}; allowed: {sorted(allowed)}")
-
-
 def config_from_tree(tree: dict) -> RunConfig:
     """Build a RunConfig from a parsed config tree, through ``SECTIONS``."""
     user = {"": {}, "model_cfg": {}, "optim_cfg": {}, "schedule": {}}
     aliases = {target: {} for target in user}
     for section, table in SECTIONS.items():
         body = _require_map(tree.get(section), section)
-        _check_keys(body, table, section)
+        check_keys(body, table, section)
         for key, value in body.items():
             if table[key] is not None:
                 target, name = table[key]

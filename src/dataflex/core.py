@@ -66,24 +66,35 @@ def params_from(cls, params: Mapping, label: str, aliases: Optional[Mapping[str,
     key -> field name); an aliased field answers to its alias only. Each value
     is coerced by its field's type; only an ``Optional`` field takes ``None``.
     Every default comes from ``cls`` itself; its ``__post_init__`` checks the
-    values. Unknown keys and values that cannot be coerced raise
-    ``BadParams`` naming the key and ``label``.
+    values. Unknown keys (``check_keys``) and values that cannot be coerced
+    raise ``BadParams`` naming the key and ``label``.
     """
     aliases = aliases or {}
     hints = typing.get_type_hints(cls)
     keys = {f.name: f.name for f in dataclasses.fields(cls) if f.init and f.name not in aliases.values()}
     keys.update(aliases)
-    unknown = sorted(set(params) - set(keys))
-    if unknown:
-        raise BadParams(f"unknown parameter(s) for {label}: {unknown}; allowed: {sorted(keys)}")
+    check_keys(params, keys, label)
     kwargs = {}
     for key, value in params.items():
         hint = hints[keys[key]]
         try:
             kwargs[keys[key]] = _coerce(value, hint)
         except (TypeError, ValueError, OverflowError):
+            if typing.get_origin(hint) is typing.Union:  # name X, not Optional
+                hint = typing.get_args(hint)[0]
             raise BadParams(f"{label}: {key} = {value!r} is not a valid {getattr(hint, '__name__', hint)}") from None
     return cls(**kwargs)
+
+
+def check_keys(keys: Iterable[str], allowed: Iterable[str], label: str) -> None:
+    """Raise ``BadParams`` naming every key outside ``allowed``; the one unknown-key rule.
+
+    It holds for every config site: the top level, each section, the
+    ``data.synthetic`` block, ``component_params`` and ``mix_sim``.
+    """
+    unknown = sorted(set(keys) - set(allowed))
+    if unknown:
+        raise BadParams(f"unknown parameter(s) for {label}: {unknown}; allowed: {sorted(allowed)}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,7 +2,7 @@
 
 Each domain prefers a contiguous private vocabulary slice (Zipf-weighted)
 plus an optional shared slice, and follows a seeded bigram successor table.
-Setting ``uniform_noise=1`` makes a domain an irreducible-entropy source:
+A noise domain (``DomainSpec.noise``) is an irreducible-entropy source:
 tokens are uniform over its support, so no model can push its loss below
 ``ln(support size)``. Different domains therefore stay separable in loss,
 gradient, and embedding space, which is what makes selection and mixing
@@ -21,20 +21,25 @@ from .errors import BadMode, BadParams, BadProportions
 
 VALIDATION_ID_START = 1_000_000_000
 
+ZIPF_EXPONENT = 1.2
+LENGTH_JITTER = 3
+#: noise -> (shared_prob, bigram_strength, uniform_noise): the shared slice's
+#: share of the Zipf base, the successor table's share of each later token,
+#: and the share drawn uniformly from the support.
+TOKEN_LAW = {False: (0.2, 0.35, 0.02), True: (0.0, 0.0, 1.0)}
+
 
 @dataclass(frozen=True)
 class DomainSpec:
+    """One domain's vocabulary slices and token law; ``noise`` makes every token uniform."""
+
     name: str
     vocab_size: int
     private_slice: tuple
     shared_slice: tuple = (0, 0)
-    zipf_exponent: float = 1.2
-    shared_prob: float = 0.2
-    bigram_strength: float = 0.35
-    uniform_noise: float = 0.0
+    noise: bool = False
     bigram_seed: int = 0
     mean_length: int = 12
-    length_jitter: int = 3
 
     def __post_init__(self):
         lo, hi = self.private_slice
@@ -45,10 +50,6 @@ class DomainSpec:
             raise ValueError(f"{self.name}: shared slice {self.shared_slice} invalid")
         if self.mean_length < 2:
             raise ValueError(f"{self.name}: mean_length must be >= 2")
-        if self.bigram_strength + self.uniform_noise > 1.0 + 1e-12:
-            raise ValueError(f"{self.name}: bigram_strength + uniform_noise exceeds 1")
-        if not (0.0 <= self.shared_prob < 1.0):
-            raise ValueError(f"{self.name}: shared_prob must lie in [0, 1)")
 
     @property
     def support(self) -> np.ndarray:
@@ -101,24 +102,24 @@ class _DomainSampler:
         lo, hi = spec.private_slice
         slo, shi = spec.shared_slice
         support = spec.support
+        shared_prob, b, nu = TOKEN_LAW[spec.noise]
         base = np.zeros(spec.vocab_size)
         private = np.arange(lo, hi)
         if shi > slo:
-            base[private] += (1.0 - spec.shared_prob) * _zipf(private.size, spec.zipf_exponent)
+            base[private] += (1.0 - shared_prob) * _zipf(private.size, ZIPF_EXPONENT)
             shared = np.arange(slo, shi)
-            base[shared] += spec.shared_prob * _zipf(shared.size, spec.zipf_exponent)
+            base[shared] += shared_prob * _zipf(shared.size, ZIPF_EXPONENT)
         else:
-            base[private] += _zipf(private.size, spec.zipf_exponent)
+            base[private] += _zipf(private.size, ZIPF_EXPONENT)
 
-        noise = np.zeros(spec.vocab_size)
-        noise[support] = 1.0 / support.size
+        uniform = np.zeros(spec.vocab_size)
+        uniform[support] = 1.0 / support.size
 
         # Law of the next token given the previous one:
         #   (1 - b - nu) * zipf_base + b * delta_succ(prev) + nu * uniform(support)
-        b, nu = spec.bigram_strength, spec.uniform_noise
-        start = (1.0 - nu) * base + nu * noise
+        start = (1.0 - nu) * base + nu * uniform
         self.start_cdf = np.cumsum(start / start.sum())
-        cont = (1.0 - b - nu) * base + nu * noise
+        cont = (1.0 - b - nu) * base + nu * uniform
         total = cont.sum()
         self.cont_cdf = np.cumsum(cont / total) if total > 0 else self.start_cdf
         self.bigram_mass = b
@@ -126,8 +127,7 @@ class _DomainSampler:
         self.successor = succ_rng.integers(lo, hi, size=spec.vocab_size)
 
     def sample_tokens(self, rng: np.random.Generator) -> np.ndarray:
-        spec = self.spec
-        length = max(2, spec.mean_length + int(rng.integers(-spec.length_jitter, spec.length_jitter + 1)))
+        length = max(2, self.spec.mean_length + int(rng.integers(-LENGTH_JITTER, LENGTH_JITTER + 1)))
         tokens = np.empty(length, dtype=np.int64)
         tokens[0] = np.searchsorted(self.start_cdf, rng.random(), side="right")
         for p in range(1, length):
@@ -147,26 +147,25 @@ def build_domain_specs(
 ) -> list:
     """Partition the vocabulary into K contiguous private slices plus a shared
     prefix of ``vocab_size // 8`` tokens; domain ``d`` is named ``domain_d``.
+
+    Raises ``BadParams`` when the vocabulary leaves a domain no private token.
     """
     if num_domains < 1:
-        raise ValueError("num_domains must be >= 1")
+        raise BadParams("num_domains must be >= 1")
     shared = vocab_size // 8
     usable = vocab_size - shared
     if usable < num_domains:
-        raise ValueError(f"vocab of {vocab_size} too small for {num_domains} domains with {shared} shared tokens")
+        raise BadParams(f"vocab of {vocab_size} too small for {num_domains} domains with {shared} shared tokens")
     bounds = shared + np.round(np.linspace(0, usable, num_domains + 1)).astype(int)
     specs = []
     for d in range(num_domains):
-        is_noise = d in set(noise_domains)
         specs.append(
             DomainSpec(
                 name=f"domain_{d}",
                 vocab_size=vocab_size,
                 private_slice=(int(bounds[d]), int(bounds[d + 1])),
                 shared_slice=(0, shared),
-                shared_prob=0.0 if is_noise else 0.2,
-                bigram_strength=0.0 if is_noise else 0.35,
-                uniform_noise=1.0 if is_noise else 0.02,
+                noise=d in set(noise_domains),
                 bigram_seed=seed * 1000 + d,
                 mean_length=mean_length,
             )

@@ -25,10 +25,6 @@ class ParseError(DataflexError):
         self.line = line
 
 
-class UnknownKey(DataflexError):
-    exit_code = 5
-
-
 class UnknownTrainType(DataflexError):
     exit_code = 6
 

@@ -30,11 +30,20 @@ CHECKPOINT_VERSION = 1
 _CORPUS_KEYS = {"id", "domain", "tokens"}
 
 
-def write_corpus(path, corpus: Corpus) -> None:
+def _jsonl_lines(records: Iterable[dict]):
+    for rec in records:
+        yield json.dumps(rec) + "\n"
+
+
+def write_jsonl(path, records: Iterable[dict]) -> None:
+    """Write one JSON object per line; the one writer of every ``.jsonl`` file."""
     with open(path, "w") as fh:
-        for s in corpus.samples:
-            rec = {"id": int(s.id), "domain": corpus.domain_names[s.domain_id], "tokens": [int(t) for t in s.token_ids]}
-            fh.write(json.dumps(rec) + "\n")
+        fh.writelines(_jsonl_lines(records))
+
+
+def write_corpus(path, corpus: Corpus) -> None:
+    names = corpus.domain_names
+    write_jsonl(path, ({"id": int(s.id), "domain": names[s.domain_id], "tokens": s.token_ids.tolist()} for s in corpus.samples))
 
 
 def read_corpus(path, vocab_size: int, domain_names: Optional[Sequence[str]] = None) -> Corpus:
@@ -86,10 +95,6 @@ def read_corpus(path, vocab_size: int, domain_names: Optional[Sequence[str]] = N
     return Corpus(samples.values(), tuple(names), vocab_size)
 
 
-def record_to_line(record: MetricsRecord) -> str:
-    return json.dumps(dataclasses.asdict(record))
-
-
 def record_from_dict(payload: dict) -> MetricsRecord:
     return MetricsRecord(
         step=int(payload["step"]),
@@ -102,9 +107,7 @@ def record_from_dict(payload: dict) -> MetricsRecord:
 
 
 def write_metrics(path, records: Iterable[MetricsRecord]) -> None:
-    with open(path, "w") as fh:
-        for r in records:
-            fh.write(record_to_line(r) + "\n")
+    write_jsonl(path, map(dataclasses.asdict, records))
 
 
 def read_metrics(path) -> list:
@@ -123,23 +126,15 @@ def read_metrics(path) -> list:
 
 
 def metrics_digest(records: Iterable[MetricsRecord]) -> str:
+    """The sha256 of the metrics file that ``write_metrics`` writes for ``records``."""
     h = hashlib.sha256()
-    for r in records:
-        h.update(record_to_line(r).encode())
-        h.update(b"\n")
+    for line in _jsonl_lines(map(dataclasses.asdict, records)):
+        h.update(line.encode())
     return h.hexdigest()
 
 
 def write_scores(path, scores: ScoreVector) -> None:
-    with open(path, "w") as fh:
-        for i, s in zip(scores.ids, scores.scores):
-            fh.write(json.dumps({"id": int(i), "score": float(s), "method": scores.method}) + "\n")
-
-
-def write_jsonl(path, records: Iterable[dict]) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+    write_jsonl(path, ({"id": int(i), "score": float(s), "method": scores.method} for i, s in zip(scores.ids, scores.scores)))
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

@@ -204,25 +204,20 @@ def odm_update(state: OdmState, observed_domain_loss: np.ndarray, params: OdmPar
     )
 
 
-def sample_batch(
-    policy: MixtureWeights,
-    corpus: Corpus,
-    batch_size: int,
-    rng: np.random.Generator,
-    domain_ids: Optional[dict] = None,
-):
+def sample_batch(policy: MixtureWeights, corpus: Corpus, batch_size: int, rng: np.random.Generator):
     """Draw a batch: domains i.i.d. from the policy, then uniform within domain.
 
-    ``domain_ids`` optionally restricts each domain to a sorted id array (the
-    active selection view); by default the whole corpus is available. Returns
-    ``(samples, rng)``; the generator advances in place.
+    ``corpus`` is the run's pool: the whole corpus, or the active selection
+    as a ``Corpus`` of its own. A sample is drawn through the pool's sorted
+    per-domain ids, ``Corpus.domain_index``. Returns ``(samples, rng)``; the
+    generator advances in place.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    view = domain_ids if domain_ids is not None else corpus.domain_index
+    view = corpus.domain_index
     weights = policy.weights
     for d in range(len(policy)):
-        if weights[d] > 0.0 and len(view.get(d, ())) == 0:
+        if weights[d] > 0.0 and len(view[d]) == 0:
             raise EmptyDomainWithMass(f"domain {d} has sampling mass {weights[d]} but no samples")
     domains = rng.choice(len(policy), size=batch_size, p=weights)
     samples = []
@@ -344,9 +339,7 @@ class DoremiPipelineResult:
     trajectory: list
 
 
-def run_doremi_pipeline(
-    cfg: RunConfig, corpus: Corpus, val: Optional[Corpus] = None, knobs: Optional[DoremiPipelineParams] = None
-) -> DoremiPipelineResult:
+def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, knobs: Optional[DoremiPipelineParams] = None) -> DoremiPipelineResult:
     """Reference/proxy two-stage mixture optimization; returns static weights.
 
     Both stages are ``dynamic_mix`` runs of the one step engine, without
@@ -360,7 +353,7 @@ def run_doremi_pipeline(
     use as a static mixture, with the proxy's trajectory records.
 
     ``knobs`` are the parsed ``DoremiPipelineParams``; by default they are
-    parsed from ``cfg.component_params``. ``val`` is not read.
+    parsed from ``cfg.component_params``.
     """
     from .trainers import _MixRun  # local import; trainers imports this module
 

@@ -7,8 +7,8 @@ run's data view, step, record an eval snapshot every ``eval_interval`` steps
 ``invocation_steps``. Each train type is a run object from ``_MODES`` with
 two hooks: ``step`` (plain ``train_step`` by default, loss-based weights in
 weight mode) and ``fire`` (the selection or mixture update at a point). The
-hooks update the data view (policy, id view and selection digest), which
-the eval records read. ``run_training`` drives one run for ``max_steps``
+hooks update the data view (policy, pool and selection digest), which the
+eval records read. ``run_training`` drives one run for ``max_steps``
 steps; ``mixers.run_doremi_pipeline`` drives its reference and proxy stages
 as mix runs without evals.
 
@@ -228,7 +228,7 @@ class DoremiMixer(Mixer):
         self.params = params
 
     def start(self, run):
-        pipeline = run_doremi_pipeline(run.cfg, run.corpus, run.val, self.params)
+        pipeline = run_doremi_pipeline(run.cfg, run.corpus, self.params)
         run.policy = pipeline.weights
         run.result.weight_trajectory.extend(pipeline.trajectory)
         run.result.invocations.extend(rec["step"] for rec in pipeline.trajectory)
@@ -299,21 +299,14 @@ class RunResult:
         return self.metrics[-1].overall_val_loss if self.metrics else float("nan")
 
 
-def _domain_view(corpus: Corpus, ids) -> dict:
-    view = {d: [] for d in range(corpus.num_domains)}
-    for i in ids:
-        view[corpus.by_id(int(i)).domain_id].append(int(i))
-    return {d: np.array(sorted(v), dtype=np.int64) for d, v in view.items()}
-
-
 class _StaticRun:
     """The state of one run; its hooks, which do nothing extra, are every mode's defaults.
 
-    The data view is ``policy``, the domain sampling distribution;
-    ``domain_ids``, which restricts each domain to the active selection's
-    sorted ids (``None`` means the full corpus); and ``digest``, the active
-    selection's ``id_set_digest`` (0 while the run trains on the full corpus).
-    The hooks update it and the eval records read it. Model init, batch
+    The data view is ``policy``, the domain sampling distribution; ``pool``,
+    the ``Corpus`` that batches are drawn from (the whole corpus, or the
+    active selection); and ``digest``, the active selection's
+    ``id_set_digest`` (0 while the pool is the whole corpus). The hooks
+    update it and the eval records read it. Model init, batch
     sampling and the component draw from children ``seed_child``,
     ``seed_child + 1`` and ``seed_child + 2`` of the run seed's sequence.
     """
@@ -328,7 +321,7 @@ class _StaticRun:
         self.rng_sample = np.random.default_rng(kids[1])
         self.rng = np.random.default_rng(kids[2])  # for the component
         self.policy = cfg.init_mixture_proportions or empirical_proportions(corpus)
-        self.domain_ids, self.digest = None, 0
+        self.pool, self.digest = corpus, 0
         self.result = RunResult(model=self.model, opt=self.opt, metrics=[])
         self.points = []
 
@@ -344,7 +337,7 @@ class _StaticRun:
         cfg, points = self.cfg, set(self.points)
         for step in range(steps + 1):
             if step > 0:
-                batch, _ = sample_batch(self.policy, self.corpus, cfg.optim_cfg.batch_size, self.rng_sample, domain_ids=self.domain_ids)
+                batch, _ = sample_batch(self.policy, self.pool, cfg.optim_cfg.batch_size, self.rng_sample)
                 self.model, self.opt, loss = self.step(batch, step)
                 if self.val is not None and step % cfg.eval_interval == 0:
                     ev = eval_per_domain(self.model, self.val)
@@ -413,9 +406,10 @@ class _SelectRun(_StaticRun):
         chosen = select(scores, self.select_k)
         if self.mode.accumulate and self.result.selections:
             chosen = sorted(set(chosen) | set(self.result.selections[-1].ids))
-        self.policy = empirical_proportions(self.corpus, chosen)
-        self.domain_ids = _domain_view(self.corpus, chosen)
-        self.digest = 0 if len(set(chosen)) == len(self.corpus) else id_set_digest(chosen)
+        corpus = self.corpus
+        self.pool = Corpus([corpus.by_id(i) for i in chosen], corpus.domain_names, corpus.vocab_size)
+        self.policy = empirical_proportions(self.pool)
+        self.digest = 0 if len(self.pool) == len(corpus) else id_set_digest(chosen)
         self.ref_checkpoint = snapshot(self.model, self.opt)
         self.result.selections.append(SelectionEvent(step=step, ids=tuple(chosen), digest=self.digest, scores=scores))
 

@@ -124,6 +124,53 @@ def test_synthetic_typo_exits_with_bad_params(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "num_sample" in err
 
 
+WEIGHT = "  train_type: dynamic_weight\n  component_name: loss\n"
+
+
+@pytest.mark.parametrize(
+    "command,sections,key",
+    [
+        ("train", {"modle": "  vocab_size: 32\n"}, "modle"),
+        ("train", {"model": BASE["model"] + "  vocab_sise: 32\n"}, "vocab_sise"),
+        ("train", {"train": BASE["train"] + "  batch_sise: 4\n"}, "batch_sise"),
+        ("train", {"dataflex": BASE["dataflex"] + "  warmup_stpe: 4\n"}, "warmup_stpe"),
+        ("train", {"data": BASE["data"] + "  validaton: val.jsonl\n"}, "validaton"),
+        ("train", {"data": synthetic(num_domain="2")}, "num_domain"),
+        ("train", {"dataflex": WEIGHT + "  component_params:\n    temperatur: 2\n"}, "temperatur"),
+        ("mix-sim", {"dataflex": "  component_name: odm\n", "mix_sim": "  losses:\n    - [1.0]\n  lossess: 3\n"}, "lossess"),
+    ],
+    ids=["top_level", "model", "train", "dataflex", "data", "data.synthetic", "component_params", "mix_sim"],
+)
+def test_unknown_key_at_every_config_site_exits_with_bad_params(tmp_path, capsys, command, sections, key):
+    config = write_config(tmp_path, **sections)
+    out = ["--out-dir", str(tmp_path / "out")] if command == "train" else [str(tmp_path / "traj.jsonl")]
+    code, err = run_cli(capsys, command, config, *out)
+    assert code == BadParams.exit_code
+    assert len(err.splitlines()) == 1 and err.startswith("BadParams: unknown parameter(s)") and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (synthetic(val_size="2.5"), "data.synthetic: val_size = 2.5 is not a valid int"),
+        ("  corpus: [a, b]\n  validation: val.jsonl\n", "data: corpus = ['a', 'b'] is not a valid str"),
+    ],
+    ids=["val_size", "corpus"],
+)
+def test_optional_field_error_names_the_type_it_holds(tmp_path, capsys, data, message):
+    config = write_config(tmp_path, data=data)
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert (code, err) == (BadParams.exit_code, f"BadParams: {message}\n")
+
+
+def test_vocab_too_small_for_the_domains_exits_with_bad_params(tmp_path, capsys):
+    model = "  vocab_size: 4\n  embed_dim: 6\n  hidden_dim: 8\n"
+    config = write_config(tmp_path, model=model, data=synthetic(num_domains="5"))
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == BadParams.exit_code
+    assert len(err.splitlines()) == 1 and err.startswith("BadParams:") and "vocab of 4" in err
+
+
 def test_ratio_that_keeps_no_sample_exits_with_bad_params(tmp_path, capsys):
     dataflex = "  train_type: dynamic_select\n  component_name: loss\n  component_params:\n    ratio: 0.001\n"
     config = write_config(tmp_path, dataflex=dataflex)

@@ -204,10 +204,9 @@ class TestSampleBatch:
         assert [s.id for s in b1] == [s.id for s in b2]
 
     def test_empty_domain_with_mass(self, rng):
-        corpus = little_corpus()
-        view = {0: corpus.domain_index[0], 1: np.array([], dtype=np.int64)}
+        corpus = Corpus([make_sample([1, 2, 3, 4], sid=i) for i in range(4)], ("a", "b"), vocab_size=8)
         with pytest.raises(EmptyDomainWithMass):
-            sample_batch(MixtureWeights(np.array([0.5, 0.5])), corpus, 4, rng, domain_ids=view)
+            sample_batch(MixtureWeights(np.array([0.5, 0.5])), corpus, 4, rng)
 
 
 class TestDoremiPipeline:

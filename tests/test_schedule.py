@@ -88,14 +88,14 @@ class TestDoremiPipelineRule:
         corpus, val = small_setup()
         for sched in (Schedule(0, 4, 3), Schedule(8, 4, 3)):
             cfg = cfg_for("dynamic_mix", "doremi", sched, {"ref_steps": 5})
-            pipeline = run_doremi_pipeline(cfg, corpus, val)
+            pipeline = run_doremi_pipeline(cfg, corpus)
             assert [rec["step"] for rec in pipeline.trajectory] == invocation_steps(sched)
 
     @pytest.mark.parametrize("sched,max_steps", [(Schedule(4, 3, 2), 12), (Schedule(0, 4, 3), 20), (Schedule(8, 4, 3), 10)])
     def test_run_records_each_pipeline_point_once(self, sched, max_steps):
         corpus, val = small_setup()
         cfg = cfg_for("dynamic_mix", "doremi", sched, {"ref_steps": 5}, max_steps=max_steps, eval_interval=5)
-        points = [rec["step"] for rec in run_doremi_pipeline(cfg, corpus, val).trajectory]
+        points = [rec["step"] for rec in run_doremi_pipeline(cfg, corpus).trajectory]
         result = run_training(cfg, corpus, val)
         assert points == invocation_steps(sched)
         assert result.invocations == [rec["step"] for rec in result.weight_trajectory] == points
@@ -103,7 +103,7 @@ class TestDoremiPipelineRule:
     def test_first_update_sees_step_one_losses(self):
         corpus, val = small_setup()
         cfg = cfg_for("dynamic_mix", "doremi", Schedule(1, 4, 1), {"ref_steps": 5, "clip_excess": False})
-        first = run_doremi_pipeline(cfg, corpus, val).trajectory[0]
+        first = run_doremi_pipeline(cfg, corpus).trajectory[0]
         # Point 1 fires after step 1, so its window holds that step's batch.
         assert first["step"] == 1
         assert any(lam != 0.0 for lam in first["excess_losses"])

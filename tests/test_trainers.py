@@ -16,7 +16,9 @@ from dataflex import (
     run_training,
 )
 from dataflex.errors import BadParams, DuplicateName, UnknownComponent
+from dataflex import trainers
 from dataflex.fileio import metrics_digest
+from dataflex.mixers import sample_batch
 from dataflex.selectors import ScoreVector
 from dataflex.trainers import DEFAULT_REGISTRY, InfluenceSelector, OdmMixer, _selector_factory
 
@@ -177,6 +179,24 @@ class TestRunSelect:
         assert all(len(ev.ids) == len(rep.selections[0].ids) for ev in rep.selections)
         sizes = [len(ev.ids) for ev in acc.selections]
         assert sizes == sorted(sizes) and sizes[-1] > sizes[0]
+
+    @pytest.mark.parametrize("accumulate", [False, True])
+    def test_each_step_after_a_point_trains_on_its_selection(self, monkeypatch, accumulate):
+        _, corpus, val = small_setup()
+        batches = []
+
+        def recording_sample_batch(*args):
+            batch, rng = sample_batch(*args)
+            batches.append({s.id for s in batch})
+            return batch, rng
+
+        monkeypatch.setattr(trainers, "sample_batch", recording_sample_batch)
+        params = {"ratio": 0.2, "accumulate": accumulate}
+        result = run_training(cfg_for("dynamic_select", "random", Schedule(10, 10, 3), params, max_steps=50), corpus, val)
+        assert len(batches) == 50 and [ev.step for ev in result.selections] == [10, 20, 30]
+        for step, ids in enumerate(batches, start=1):
+            active = [ev.ids for ev in result.selections if ev.step < step]
+            assert ids <= set(active[-1] if active else (s.id for s in corpus.samples))
 
     def test_bad_ratio_rejected(self):
         _, corpus, val = small_setup()

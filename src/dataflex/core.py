@@ -39,14 +39,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _coerce(value, hint):
-    """``value`` as a field of type ``hint``; TypeError/ValueError if it is not one."""
-    if typing.get_origin(hint) is typing.Union:  # Optional[X]
-        if value is None:
-            return None
-        hint = typing.get_args(hint)[0]
+def _unwrap_optional(hint):
+    """``(X, True)`` for ``Optional[X]``, else ``(hint, False)``: an ``Optional`` field is its ``X`` that takes ``None``."""
+    if typing.get_origin(hint) is typing.Union:
+        return typing.get_args(hint)[0], True
+    return hint, False
+
+
+def _coerce(value, hint, optional=False):
+    """``value`` as a field of type ``hint``, or ``None`` if ``optional``; TypeError/ValueError if it is not one."""
+    if optional and value is None:
+        return None
     if typing.get_origin(hint) is list and isinstance(value, list):
-        return [_coerce(v, typing.get_args(hint)[0]) for v in value]
+        return [_coerce(v, *_unwrap_optional(typing.get_args(hint)[0])) for v in value]
     if value is None or isinstance(value, bool) != (hint is bool):
         raise TypeError
     if hint in (int, float, str) and isinstance(value, (int, float, str)):
@@ -76,12 +81,10 @@ def params_from(cls, params: Mapping, label: str, aliases: Optional[Mapping[str,
     check_keys(params, keys, label)
     kwargs = {}
     for key, value in params.items():
-        hint = hints[keys[key]]
+        hint, optional = _unwrap_optional(hints[keys[key]])
         try:
-            kwargs[keys[key]] = _coerce(value, hint)
+            kwargs[keys[key]] = _coerce(value, hint, optional)
         except (TypeError, ValueError, OverflowError):
-            if typing.get_origin(hint) is typing.Union:  # name X, not Optional
-                hint = typing.get_args(hint)[0]
             raise BadParams(f"{label}: {key} = {value!r} is not a valid {getattr(hint, '__name__', hint)}") from None
     return cls(**kwargs)
 

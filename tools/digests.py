@@ -4,7 +4,6 @@ Run it at two commits and diff what it prints: a change that keeps every
 output byte-identical prints the same lines.
 
     python3 tools/digests.py > digests.txt
-    python3 tools/digests.py --keep DIR   # also keep the output files in DIR
 
 For a commit that predates this script, copy it into that checkout's
 ``tools/`` and run it there.
@@ -25,7 +24,6 @@ standard output. A run that fails prints its exit code and the last line
 of its standard error instead.
 """
 
-import argparse
 import hashlib
 import os
 import subprocess
@@ -114,17 +112,13 @@ def runs():
         yield f"help_{command or 'main'}", None, [command, "--help"] if command else ["--help"]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--keep", default=None, help="write the run directories here (it must not hold them yet)")
-    args = parser.parse_args(argv)
+def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
     with tempfile.TemporaryDirectory() as scratch:
-        base = Path(args.keep or scratch)
         for run, config, cli_args in runs():
-            cwd = base / run
-            cwd.mkdir(parents=True)
+            cwd = Path(scratch) / run
+            cwd.mkdir()
             if config is not None:
                 (cwd / "run.yaml").write_text(config)
             proc = subprocess.run([sys.executable, "-m", "dataflex.cli", *cli_args], cwd=cwd, env=env, capture_output=True)

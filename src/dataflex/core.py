@@ -309,7 +309,19 @@ def validate_config(cfg: RunConfig, corpus: Corpus) -> None:
     Raises the specific error naming the offending field; component-name
     resolvability is checked later against the registry. Train type and
     schedule are checked by ``RunConfig`` and ``Schedule`` themselves.
+    The optimizer's numbers are bounded here, not by ``OptimCfg``, which
+    holds any float (``learning_rate`` 0 is the identity step) so that
+    every config round-trips: a run needs a finite ``learning_rate`` > 0,
+    betas in [0, 1) and a finite ``eps`` > 0.
     """
+    optim = cfg.optim_cfg
+    if not (np.isfinite(optim.learning_rate) and optim.learning_rate > 0.0):
+        raise BadParams(f"learning_rate must be finite and > 0, got {optim.learning_rate}")
+    for name in ("beta1", "beta2"):
+        if not 0.0 <= getattr(optim, name) < 1.0:
+            raise BadParams(f"{name} must lie in [0, 1), got {getattr(optim, name)}")
+    if not (np.isfinite(optim.eps) and optim.eps > 0.0):
+        raise BadParams(f"eps must be finite and > 0, got {optim.eps}")
     if cfg.train_type != "static" and not cfg.component_name:
         raise UnknownComponent(f"component_name must be non-empty for train_type {cfg.train_type!r}")
     if cfg.init_mixture_proportions is not None and len(cfg.init_mixture_proportions) != corpus.num_domains:

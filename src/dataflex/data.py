@@ -148,10 +148,14 @@ def build_domain_specs(
     """Partition the vocabulary into K contiguous private slices plus a shared
     prefix of ``vocab_size // 8`` tokens; domain ``d`` is named ``domain_d``.
 
-    Raises ``BadParams`` when the vocabulary leaves a domain no private token.
+    Raises ``BadParams`` when the vocabulary leaves a domain no private token,
+    or when a ``noise_domains`` entry names no domain.
     """
     if num_domains < 1:
         raise BadParams("num_domains must be >= 1")
+    for d in noise_domains:
+        if not 0 <= d < num_domains:
+            raise BadParams(f"noise_domains entry {d} outside [0, {num_domains})")
     shared = vocab_size // 8
     usable = vocab_size - shared
     if usable < num_domains:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,7 +42,7 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 _GRAD_CHUNK = 128
-_SIGN_BLOCK = 2048  # input coordinates per regenerated block of signs
+_SIGN_BLOCK = 2048  # input coordinates (sign-matrix rows) per cached block
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,12 +112,30 @@ class TsdsParams:
             raise BadParams(f"C must be positive, got {self.C}")
 
 
+@lru_cache(maxsize=4)
+def _sign_blocks(seed: int, dim_in: int, dim_out: int) -> tuple:
+    """The Rademacher sign matrix (dim_in x dim_out) as bit-packed row blocks.
+
+    Drawn once per (seed, dim_in, dim_out), in ``_SIGN_BLOCK``-row blocks
+    from one generator, in order; a set bit is +1. Each block is stored
+    ``np.packbits``-ed along its rows (dim_out / 8 bytes per row) and
+    read-only, so the cache costs 1/64 of the float matrix.
+    """
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for start in range(0, dim_in, _SIGN_BLOCK):
+        bits = rng.integers(0, 2, size=(min(_SIGN_BLOCK, dim_in - start), dim_out))
+        blocks.append(_read_only(np.packbits(bits.astype(np.uint8), axis=1)))
+    return tuple(blocks)
+
+
 class SignProjection:
     """Seeded Rademacher sketch, applied block-wise over input coordinates.
 
-    The full sign matrix (dim_out x dim_in) is never materialized; blocks of
-    columns are regenerated from the seed on every call, so projecting is a
-    deterministic function of (seed, dim_in, dim_out).
+    The sign matrix is drawn once per (seed, dim_in, dim_out) and cached
+    bit-packed (``_sign_blocks``); each call unpacks one block of rows at a
+    time to ±1.0 and accumulates its product in block order, so projecting
+    is a deterministic function of (seed, dim_in, dim_out).
     """
 
     def __init__(self, dim_out: int, dim_in: int, seed: int):
@@ -128,12 +147,11 @@ class SignProjection:
         mat = np.atleast_2d(mat)
         if mat.shape[1] != self.dim_in:
             raise ValueError(f"expected {self.dim_in} columns, got {mat.shape[1]}")
-        rng = np.random.default_rng(self.seed)
         out = np.zeros((mat.shape[0], self.dim_out))
-        for start in range(0, self.dim_in, _SIGN_BLOCK):
-            stop = min(start + _SIGN_BLOCK, self.dim_in)
-            signs = rng.integers(0, 2, size=(stop - start, self.dim_out)).astype(np.float64) * 2.0 - 1.0
-            out += mat[:, start:stop] @ signs
+        blocks = _sign_blocks(self.seed, self.dim_in, self.dim_out)
+        for start, packed in zip(range(0, self.dim_in, _SIGN_BLOCK), blocks):
+            signs = np.unpackbits(packed, axis=1, count=self.dim_out).astype(np.float64) * 2.0 - 1.0
+            out += mat[:, start:start + packed.shape[0]] @ signs
         return out / np.sqrt(self.dim_out)
 
 
@@ -174,26 +192,21 @@ def _gradient_rows(
     preconditioning: str,
     proj: Optional[SignProjection],
 ) -> np.ndarray:
-    """Per-sample (optionally preconditioned, optionally sketched) gradients."""
-    rows = []
-    chunk = []
+    """Per-sample (optionally preconditioned, optionally sketched) gradients.
 
-    def flush():
-        if not chunk:
-            return
-        block = np.stack(chunk)
-        rows.append(proj.project(block) if proj is not None else block)
-        chunk.clear()
-
-    for s in samples:
-        g = per_sample_gradient(model, s)
-        if preconditioning == "adam":
-            g = adam_precondition(g, opt)
-        chunk.append(g)
-        if len(chunk) >= _GRAD_CHUNK:
-            flush()
-    flush()
-    return np.concatenate(rows, axis=0)
+    Rows are written into one ``(_GRAD_CHUNK, P)`` buffer, projected a chunk
+    at a time.
+    """
+    n = len(samples)
+    out = np.empty((n, model.params.size if proj is None else proj.dim_out))
+    block = np.empty((min(n, _GRAD_CHUNK), model.params.size))
+    for start in range(0, n, _GRAD_CHUNK):
+        rows = block[: min(_GRAD_CHUNK, n - start)]
+        for i in range(rows.shape[0]):
+            g = per_sample_gradient(model, samples[start + i])
+            rows[i] = adam_precondition(g, opt) if preconditioning == "adam" else g
+        out[start:start + rows.shape[0]] = rows if proj is None else proj.project(rows)
+    return out
 
 
 def _cosine_rows(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:

@@ -182,6 +182,8 @@ class ProbeSelector:
     metric: str = "val_loss"
 
     def __post_init__(self):
+        if not (np.isfinite(self.probe_lr) and self.probe_lr > 0.0):
+            raise BadParams(f"probe_lr must be finite and > 0, got {self.probe_lr}")
         if self.metric not in ("val_loss", "top1_accuracy"):
             raise BadParams(f"unknown probe metric {self.metric!r}")
 

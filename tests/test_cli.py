@@ -11,7 +11,7 @@ import pytest
 
 from dataflex import MixtureWeights, build_domain_specs, empirical_proportions, generate_corpus, make_validation
 from dataflex.cli import main
-from dataflex.errors import BadParams, ParseError
+from dataflex.errors import BadParams, NonFiniteMetric, ParseError
 from dataflex.fileio import write_corpus
 
 BASE = {
@@ -291,3 +291,54 @@ def test_corpus_files_reproduce_the_synthetic_run(tmp_path, capsys):
     assert run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "files")) == (0, "")
     for name in ("metrics.jsonl", "checkpoint.json"):
         assert (tmp_path / "files" / name).read_bytes() == (tmp_path / "synthetic" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "line,key",
+    [
+        ("learning_rate: -1", "learning_rate"),
+        ("learning_rate: 0", "learning_rate"),
+        ("learning_rate: nan", "learning_rate"),
+        ("learning_rate: inf", "learning_rate"),
+        ("beta1: -0.1", "beta1"),
+        ("beta1: 1.0", "beta1"),
+        ("beta2: 1.0", "beta2"),
+        ("beta2: nan", "beta2"),
+        ("eps: 0", "eps"),
+        ("eps: inf", "eps"),
+    ],
+)
+def test_optimizer_value_out_of_bounds_exits_with_bad_params(tmp_path, capsys, line, key):
+    config = write_config(tmp_path, train=BASE["train"] + f"  {line}\n")
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == BadParams.exit_code
+    assert len(err.splitlines()) == 1 and err.startswith(f"BadParams: {key} ")
+
+
+PROBE = "  train_type: dynamic_select\n  component_name: nice\n  warmup_step: 2\n  update_step: 2\n  update_times: 1\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "0"])
+def test_probe_lr_out_of_bounds_exits_with_bad_params(tmp_path, capsys, value):
+    config = write_config(tmp_path, dataflex=PROBE + f"  component_params:\n    probe_lr: {value}\n")
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == BadParams.exit_code
+    assert len(err.splitlines()) == 1 and err.startswith("BadParams: probe_lr ")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_probe_that_overflows_the_metric_exits_with_non_finite_metric(tmp_path, capsys):
+    config = write_config(tmp_path, dataflex=PROBE + "  component_params:\n    probe_lr: 1e308\n")
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == NonFiniteMetric.exit_code == 21
+    assert err.splitlines() == ["NonFiniteMetric: metric returned inf after probing sample 0"]
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+@pytest.mark.parametrize("entry", ["7", "2", "-1"])
+def test_noise_domain_outside_the_domains_exits_with_bad_params(tmp_path, capsys, command, entry):
+    config = write_config(tmp_path, data=synthetic(noise_domains=f"[0, {entry}]"))
+    out = [str(tmp_path / "corpus.jsonl")] if command == "gen-data" else ["--out-dir", str(tmp_path / "out")]
+    code, err = run_cli(capsys, command, config, *out)
+    assert code == BadParams.exit_code
+    assert err.splitlines() == [f"BadParams: noise_domains entry {entry} outside [0, 2)"]

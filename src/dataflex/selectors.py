@@ -185,6 +185,16 @@ def score_delta_loss(
     return ScoreVector(_pool_ids(pool), scores, "delta_loss")
 
 
+def _fill_gradients(
+    rows: np.ndarray, model: ModelState, samples: Sequence[Sample], opt: OptimizerState, preconditioning: str
+) -> np.ndarray:
+    """Write each sample's (optionally Adam-preconditioned) gradient into a row of ``rows``."""
+    for i, s in enumerate(samples):
+        g = per_sample_gradient(model, s)
+        rows[i] = adam_precondition(g, opt) if preconditioning == "adam" else g
+    return rows
+
+
 def _gradient_rows(
     model: ModelState,
     samples: Sequence[Sample],
@@ -194,18 +204,18 @@ def _gradient_rows(
 ) -> np.ndarray:
     """Per-sample (optionally preconditioned, optionally sketched) gradients.
 
-    Rows are written into one ``(_GRAD_CHUNK, P)`` buffer, projected a chunk
-    at a time.
+    Unsketched rows are written straight into the result. Sketched ones go
+    through one ``(_GRAD_CHUNK, P)`` buffer, projected a chunk at a time.
     """
     n = len(samples)
-    out = np.empty((n, model.params.size if proj is None else proj.dim_out))
+    if proj is None:
+        return _fill_gradients(np.empty((n, model.params.size)), model, samples, opt, preconditioning)
+    out = np.empty((n, proj.dim_out))
     block = np.empty((min(n, _GRAD_CHUNK), model.params.size))
     for start in range(0, n, _GRAD_CHUNK):
-        rows = block[: min(_GRAD_CHUNK, n - start)]
-        for i in range(rows.shape[0]):
-            g = per_sample_gradient(model, samples[start + i])
-            rows[i] = adam_precondition(g, opt) if preconditioning == "adam" else g
-        out[start:start + rows.shape[0]] = rows if proj is None else proj.project(rows)
+        chunk = samples[start:start + _GRAD_CHUNK]
+        rows = _fill_gradients(block[: len(chunk)], model, chunk, opt, preconditioning)
+        out[start:start + len(chunk)] = proj.project(rows)
     return out
 
 

@@ -125,7 +125,7 @@ def _sign_blocks(seed: int, dim_in: int, dim_out: int) -> tuple:
     blocks = []
     for start in range(0, dim_in, _SIGN_BLOCK):
         bits = rng.integers(0, 2, size=(min(_SIGN_BLOCK, dim_in - start), dim_out))
-        blocks.append(_read_only(np.packbits(bits.astype(np.uint8), axis=1)))
+        blocks.append(_read_only(np.packbits(bits, axis=1)))
     return tuple(blocks)
 
 

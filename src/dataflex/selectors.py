@@ -314,7 +314,8 @@ def score_probe(
     for i, s in enumerate(pool):
         probe_model, _ = restore(base)
         g = per_sample_gradient(probe_model, s)
-        after = float(val_metric_fn(sgd_step(probe_model, probe_lr, g)))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite metric is reported just below
+            after = float(val_metric_fn(sgd_step(probe_model, probe_lr, g)))
         if not np.isfinite(after):
             raise NonFiniteMetric(f"metric returned {after!r} after probing sample {s.id}")
         scores[i] = before - after

@@ -326,7 +326,6 @@ def test_probe_lr_out_of_bounds_exits_with_bad_params(tmp_path, capsys, value):
     assert len(err.splitlines()) == 1 and err.startswith("BadParams: probe_lr ")
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_probe_that_overflows_the_metric_exits_with_non_finite_metric(tmp_path, capsys):
     config = write_config(tmp_path, dataflex=PROBE + "  component_params:\n    probe_lr: 1e308\n")
     code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))

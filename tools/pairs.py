@@ -19,10 +19,11 @@ side wins for neither side. For every end-to-end metric, the change wins a
 complete pair when its median is better in the direction ``BENCHMARK.json``
 gives; equal values count for neither side. The verdict follows the
 README's rule: a ``gain`` when the change wins at least nine tenths of all
-the pairs run and the two medians, over the complete pairs, lie further
-apart than the parent's interquartile range, a ``loss`` by the same rule
-with the sides swapped, and otherwise ``unresolved``. The output file
-holds every pair's values and metrics digests, each side's median and
+the pairs run, the two medians over the complete pairs lie further apart
+than the parent's interquartile range, and the change's invocations list
+no more failed processes than the parent's; a ``loss`` when the parent
+wins as many pairs with the same gap; otherwise ``unresolved``. The output
+file holds every pair's values and metrics digests, each side's median and
 quartiles, the verdicts, and whether the change's median stays within the
 metric's bound of the parent's.
 
@@ -65,7 +66,7 @@ def quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else [values[0]] * 3
 
 
-def verdict(parent: list, change: list, pairs_run: int, better: str, bound: float) -> dict:
+def verdict(parent: list, change: list, pairs_run: int, change_fails_more: bool, better: str, bound: float) -> dict:
     """The README's rule for one metric over the complete pairs' values, and whether the change keeps its bound.
 
     ``pairs_run`` counts every pair, complete or not, so a failed pair counts against either side's win.
@@ -77,7 +78,7 @@ def verdict(parent: list, change: list, pairs_run: int, better: str, bound: floa
     iqr = q_parent[2] - q_parent[0]
     gap = abs(q_change[1] - q_parent[1])
     need = math.ceil(0.9 * pairs_run)
-    if wins >= need and gap > iqr:
+    if wins >= need and gap > iqr and not change_fails_more:
         outcome = "gain"
     elif losses >= need and gap > iqr:
         outcome = "loss"
@@ -112,16 +113,18 @@ def compare(checkouts: dict, workload: str, pairs: int, end_to_end: list) -> dic
             else f"{side} failed ({len(pair[side]['failures'])} failures)"
             for side in SIDES), flush=True)
     complete = [r for r in runs if all("metrics" in r[side] for side in SIDES)]
+    failures = {side: sum(len(r[side]["failures"]) for r in runs) for side in SIDES}
     metrics = {}
     if complete:
         for m in end_to_end:
             values = {side: [r[side]["metrics"][m["name"]] for r in complete] for side in SIDES}
-            metrics[m["name"]] = verdict(values["parent"], values["change"], len(runs), m["better"], m["bound"])
+            metrics[m["name"]] = verdict(values["parent"], values["change"], len(runs),
+                                         failures["change"] > failures["parent"], m["better"], m["bound"])
     traced = {side: invoke(checkouts[side], workload, 1, 1) for side in SIDES}
     return {
         "pairs": runs,
         "failed_pairs": len(runs) - len(complete),
-        "failures": {side: sum(len(r[side]["failures"]) for r in runs) for side in SIDES},
+        "failures": failures,
         "digests_equal": all(r["parent"].get("digest") == r["change"].get("digest") for r in runs),
         "metrics": metrics,
         "traced_seed1": traced,

@@ -93,7 +93,7 @@ def _build_data(tree: dict, cfg: RunConfig):
     val = make_validation(
         specs,
         synth.val_mode,
-        max(50, synth.num_samples // 10) if synth.val_size is None else synth.val_size,
+        synth.validation_size,
         seed + 1 if synth.val_seed is None else synth.val_seed,
         proportions=empirical_proportions(corpus),  # read in_distribution mode only
         domain=synth.val_domain,

@@ -23,6 +23,9 @@ VALIDATION_ID_START = 1_000_000_000
 
 ZIPF_EXPONENT = 1.2
 LENGTH_JITTER = 3
+#: The most tokens (``count * mean_length``) that ``data.synthetic`` may ask
+#: for, for the corpus and again for the validation set: 800 MB of int64.
+MAX_SYNTHETIC_TOKENS = 10**8
 #: noise -> (shared_prob, bigram_strength, uniform_noise): the shared slice's
 #: share of the Zipf base, the successor table's share of each later token,
 #: and the share drawn uniformly from the support.
@@ -63,7 +66,9 @@ class SyntheticParams:
     """The ``data.synthetic`` config section; ``None`` derives a field from the run.
 
     ``seed`` defaults to the run's seed, ``val_size`` to ``max(50,
-    num_samples // 10)`` and ``val_seed`` to ``seed + 1``.
+    num_samples // 10)`` (``validation_size``) and ``val_seed`` to ``seed +
+    1``. The corpus and the validation set may each hold at most
+    ``MAX_SYNTHETIC_TOKENS`` tokens.
     """
 
     num_samples: int = 1000
@@ -87,6 +92,16 @@ class SyntheticParams:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise BadParams(f"data.synthetic: {name} must be >= 0, got {value}")
+        for name, count in (("num_samples", self.num_samples), ("val_size", self.validation_size)):
+            if count * self.mean_length > MAX_SYNTHETIC_TOKENS:
+                raise BadParams(
+                    f"data.synthetic: {name} * mean_length = {count} * {self.mean_length} tokens"
+                    f" exceeds the bound of {MAX_SYNTHETIC_TOKENS}"
+                )
+
+    @property
+    def validation_size(self) -> int:
+        return max(50, self.num_samples // 10) if self.val_size is None else self.val_size
 
 
 def _zipf(n: int, s: float) -> np.ndarray:

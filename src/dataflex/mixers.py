@@ -285,7 +285,12 @@ class RandomMixer(Mixer):
 
 
 class OdmMixer(Mixer):
-    """Exp3 over domains, rewarded by each domain's mean batch loss since the last point."""
+    """Exp3 over domains, rewarded by each domain's mean batch loss since the last point.
+
+    Unlike the DoReMi proxy, ``step`` still forwards the batch once before
+    ``train_step`` does: a traced ODM run is the one that exercises the
+    benchmark's ``model.batch_losses`` span (ROADMAP item 6).
+    """
 
     def __init__(self, params: OdmParams):
         self.params = params
@@ -309,10 +314,12 @@ class OdmMixer(Mixer):
 class DoremiProxyMixer(Mixer):
     """The proxy stage of DoReMi, from uniform weights.
 
-    Before each step the proxy's and the frozen reference's losses on the
-    batch go into two windows; at each point the per-domain excess of their
-    means (clipped at zero unless ``clip_excess`` is false) drives
-    ``doremi_update``.
+    At each step the proxy's and the frozen reference's losses on the batch
+    go into two windows; at each point the per-domain excess of their means
+    (clipped at zero unless ``clip_excess`` is false) drives
+    ``doremi_update``. The proxy's losses are those of its own training
+    step's forward pass, which ``train_step`` hands to ``observe``; the
+    reference needs a forward pass of its own.
     """
 
     def __init__(self, reference: ModelState, knobs: DoremiPipelineParams, k: int):
@@ -323,9 +330,13 @@ class DoremiProxyMixer(Mixer):
         run.policy = MixtureWeights.uniform(self.params.K)
 
     def step(self, model, opt, batch):
-        self.proxy_window.add(batch, batch_losses(model, batch))
         self.ref_window.add(batch, batch_losses(self.reference, batch))
-        return super().step(model, opt, batch)
+
+        def observe(losses):
+            self.proxy_window.add(batch, losses)
+            return np.ones(len(batch))
+
+        return train_step(model, opt, batch, observe)
 
     def update(self, policy, rng):
         lam = excess_loss(self.proxy_window.take(), self.ref_window.take(), clip=self.knobs.clip_excess)

@@ -11,8 +11,11 @@ output weights H*V | output bias V], all float64.
 
 Each rule is written once: ``_hidden`` is the one tanh layer, ``_forward``
 the one next-token pass (loss, gradient and top-1 accuracy all read it),
-``_adam_moments`` the one bias-corrected Adam update (``train_step`` applies
-it, ``adam_precondition`` reports it), and ``_copy_state`` the one deep copy
+``_loss_and_cache`` and ``_backward`` the two halves of one per-sample
+gradient (``train_step`` can hand the losses of the first half to a
+weighting function before it runs the second), ``_adam_moments`` the one
+bias-corrected Adam update (``train_step`` applies it,
+``adam_precondition`` reports it), and ``_copy_state`` the one deep copy
 of a (model, optimizer) pair (``snapshot`` and ``restore``).
 
 All functions here are pure over immutable state: ``train_step`` returns new
@@ -26,7 +29,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,6 +50,19 @@ def param_count(arch: ModelCfg) -> int:
     return int(offsets[-1])
 
 
+def _blocks(arch: ModelCfg, flat: np.ndarray):
+    """Views (emb, w1, b1, w2, b2) into a flat vector of the parameter layout."""
+    v, e, h = arch.vocab_size, arch.embed_dim, arch.hidden_dim
+    o, _ = _layout(arch)
+    return (
+        flat[o[0]:o[1]].reshape(v, e),
+        flat[o[1]:o[2]].reshape(e, h),
+        flat[o[2]:o[3]],
+        flat[o[3]:o[4]].reshape(h, v),
+        flat[o[4]:o[5]],
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class ModelState:
     arch: ModelCfg
@@ -62,16 +78,7 @@ class ModelState:
 
     def unpack(self):
         """Views (emb, w1, b1, w2, b2) into the flat parameter vector."""
-        v, e, h = self.arch.vocab_size, self.arch.embed_dim, self.arch.hidden_dim
-        o, _ = _layout(self.arch)
-        p = self.params
-        return (
-            p[o[0]:o[1]].reshape(v, e),
-            p[o[1]:o[2]].reshape(e, h),
-            p[o[2]:o[3]],
-            p[o[3]:o[4]].reshape(h, v),
-            p[o[4]:o[5]],
-        )
+        return _blocks(self.arch, self.params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,11 +179,17 @@ def batch_losses(model: ModelState, batch: Sequence[Sample]) -> np.ndarray:
     return np.array([per_sample_loss(model, s) for s in batch])
 
 
-def _loss_and_grad(model: ModelState, s: Sample):
-    (emb, w1, _, w2, _), x, hid, logits = _forward(model, s)
-    inputs, targets = s.token_ids[:-1], s.token_ids[1:]
+def _loss_and_cache(model: ModelState, s: Sample):
+    """The forward half of a per-sample gradient: ``(loss, cache)`` for ``_backward``."""
+    params, x, hid, logits = _forward(model, s)
+    targets = s.token_ids[1:]
     loss, shifted, log_z = _cross_entropy(logits, targets)
+    return loss, (params, s.token_ids[:-1], targets, x, hid, shifted, log_z)
 
+
+def _backward(cache):
+    """The gradient blocks (d_emb, d_w1, d_b1, d_w2, d_b2) of one forward cache."""
+    (emb, w1, _, w2, _), inputs, targets, x, hid, shifted, log_z = cache
     d_logits = np.exp(shifted - log_z[:, None])  # probabilities
     d_logits[np.arange(targets.size), targets] -= 1.0
     d_logits /= targets.size              # gradient of the positional mean
@@ -190,14 +203,12 @@ def _loss_and_grad(model: ModelState, s: Sample):
     d_x = d_z1 @ w1.T
     d_emb = np.zeros_like(emb)
     np.add.at(d_emb, inputs, d_x)
-
-    grad = np.concatenate([d_emb.ravel(), d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
-    return loss, grad
+    return d_emb, d_w1, d_b1, d_w2, d_b2
 
 
 def per_sample_gradient(model: ModelState, s: Sample) -> np.ndarray:
     """Exact gradient of ``per_sample_loss`` w.r.t. the flat parameter vector."""
-    return _loss_and_grad(model, s)[1]
+    return np.concatenate([block.ravel() for block in _backward(_loss_and_cache(model, s)[1])])
 
 
 def embed(model: ModelState, s: Sample) -> EmbeddingVector:
@@ -211,31 +222,53 @@ def sgd_step(model: ModelState, lr: float, grad: np.ndarray) -> ModelState:
     return ModelState(model.arch, model.params - lr * grad)
 
 
+def _checked_weights(weights, n: int) -> np.ndarray:
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise LengthMismatch(f"got {w.size} weights for a batch of {n}")
+    if np.any(w < 0.0):
+        raise NegativeWeight(f"negative weights: {w[w < 0.0]}")
+    return w
+
+
 def train_step(
     model: ModelState,
     opt: OptimizerState,
     batch: Sequence[Sample],
-    weights: Sequence[float],
+    weights: Union[Sequence[float], Callable[[np.ndarray], Sequence[float]]],
 ):
     """One optimizer step on the gradient of (sum_i w_i * loss_i) / |batch|.
 
-    Returns ``(model', opt', weighted_mean_loss)``. Accumulation runs in batch
-    order, so all-ones weights reproduce the unweighted step bitwise.
-    """
-    if len(batch) == 0:
-        raise LengthMismatch("batch must be non-empty")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (len(batch),):
-        raise LengthMismatch(f"got {w.size} weights for a batch of {len(batch)}")
-    if np.any(w < 0.0):
-        raise NegativeWeight(f"negative weights: {w[w < 0.0]}")
+    ``weights`` is one weight per sample, or a function that returns them
+    from the batch's per-sample losses under ``model``. Fixed weights are
+    checked before any forward pass, and each sample's forward and backward
+    pass then run together, so one forward cache is held at a time. A
+    function is called once, with the losses of this step's own forward
+    pass (equal to ``batch_losses(model, batch)``), after the whole batch's
+    forward caches are kept and before any gradient is accumulated; a
+    loss-based weighting thus costs no second forward pass. Backward passes
+    accumulate in batch order, so all-ones weights reproduce the unweighted
+    step bitwise, and a function ``f`` the step with fixed weights
+    ``f(batch_losses(model, batch))``.
 
+    Returns ``(model', opt', weighted_mean_loss)``.
+    """
     n = len(batch)
+    if n == 0:
+        raise LengthMismatch("batch must be non-empty")
+    if callable(weights):
+        passes = [_loss_and_cache(model, s) for s in batch]
+        w = _checked_weights(weights(np.array([loss for loss, _ in passes])), n)
+    else:
+        w = _checked_weights(weights, n)
+        passes = (_loss_and_cache(model, s) for s in batch)
+
     grad = np.zeros_like(model.params)
+    grad_blocks = _blocks(model.arch, grad)
     wloss = 0.0
-    for wi, s in zip(w, batch):
-        loss_i, g_i = _loss_and_grad(model, s)
-        grad += wi * g_i
+    for wi, (loss_i, cache) in zip(w, passes):
+        for acc, block in zip(grad_blocks, _backward(cache)):
+            acc += wi * block
         wloss += wi * loss_i
     grad /= n
     wloss /= n

@@ -220,13 +220,23 @@ def _gradient_rows(
 
 
 def _cosine_rows(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Row-wise cosine against one vector; zero vectors score 0 by convention."""
+    """Row-wise cosine against one vector; zero vectors score 0 by convention.
+
+    Row norms are taken ``_GRAD_CHUNK`` rows at a time, and the product skips
+    the row index when no row is zero, so neither allocates an array the
+    size of ``mat``; each row's values are bitwise those of the whole-matrix
+    calls.
+    """
     v_norm = float(np.linalg.norm(vec))
-    row_norms = np.linalg.norm(mat, axis=1)
+    row_norms = np.empty(mat.shape[0])
+    for start in range(0, mat.shape[0], _GRAD_CHUNK):
+        row_norms[start:start + _GRAD_CHUNK] = np.linalg.norm(mat[start:start + _GRAD_CHUNK], axis=1)
     out = np.zeros(mat.shape[0])
     if v_norm == 0.0:
         return out
     nz = row_norms > 0.0
+    if nz.all():
+        return (mat @ vec) / (row_norms * v_norm)
     out[nz] = (mat[nz] @ vec) / (row_norms[nz] * v_norm)
     return out
 

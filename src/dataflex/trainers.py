@@ -6,16 +6,17 @@ run's data view, step, record an eval snapshot every ``eval_interval`` steps
 (for a run with a validation set), and fire at the run's points, those of
 ``invocation_steps``. Each train type is a run object from ``_MODES`` with
 two hooks: ``step`` (plain ``train_step`` by default, loss-based weights in
-weight mode) and ``fire`` (the selection or mixture update at a point). The
-hooks update the data view (policy, pool and selection digest), which the
-eval records read. ``run_training`` drives one run for ``max_steps``
+weight mode, taken from the step's own forward pass) and ``fire`` (the
+selection or mixture update at a point). The hooks update the data view
+(policy, pool and selection digest), which the eval records read. ``run_training`` drives one run for ``max_steps``
 steps; ``mixers.run_doremi_pipeline`` drives its reference and proxy stages
 as mix runs without evals.
 
 Mixers resolve through the registry like every other component. A mix run
 hands each step and each point to its mixer's hooks (``mixers.Mixer``), so
-ODM and the DoReMi proxy see each batch before it trains, and ``DoremiMixer``
-computes its static mixture before the run.
+ODM and the DoReMi proxy see each batch's losses under the pre-step model
+(ODM by a forward pass of its own, the proxy from its training step's), and
+``DoremiMixer`` computes its static mixture before the run.
 
 All modes share one batch-sampling path (domains drawn from a policy, then
 uniform within the domain), so degenerate configurations (select-all,

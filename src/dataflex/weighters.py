@@ -1,7 +1,10 @@
 """Per-sample loss-based weighting applied inside the training step.
 
 Every strategy returns weights with mean exactly 1 (up to float rounding),
-so reweighting never changes the effective learning rate.
+so reweighting never changes the effective learning rate. The losses that
+drive a strategy come from the training step's own forward pass
+(``train_step`` takes the weights as a function of them), so a weighted
+step forwards its batch once.
 """
 
 from __future__ import annotations
@@ -12,7 +15,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadParams, NegativeLoss, NonFinite
-from .model import ModelState, OptimizerState, batch_losses, train_step
+from .model import (
+    ModelState,
+    OptimizerState,
+    batch_losses,  # not called here; bench/tracer.py wraps it on this module
+    train_step,
+)
 
 
 @dataclass(frozen=True)
@@ -64,15 +72,21 @@ def apply(
 ):
     """One weighted training step.
 
-    During warmup the step is plain uniform; afterwards fresh per-sample
-    losses under the pre-step model drive the strategy. ``in_warmup`` follows
-    the schedule rule of ``dataflex.trainers.invocation_steps``: steps
-    ``1..warmup_step`` are warmup. Returns
+    During warmup the step is plain uniform; afterwards the per-sample losses
+    under the pre-step model drive the strategy. ``train_step`` computes
+    those losses in its own forward pass and hands them to
+    ``compute_weights`` before it accumulates any gradient, so the step is
+    bitwise the one that weights by ``batch_losses`` first. ``in_warmup``
+    follows the schedule rule of ``dataflex.trainers.invocation_steps``:
+    steps ``1..warmup_step`` are warmup. Returns
     ``(model', opt', weighted_mean_loss, weights)``.
     """
-    if in_warmup:
-        weights = np.ones(len(batch))
-    else:
-        weights = compute_weights(batch_losses(model, batch), strat)
-    new_model, new_opt, loss = train_step(model, opt, batch, weights)
+    weights = np.ones(len(batch))
+
+    def weigh(losses):
+        nonlocal weights
+        weights = compute_weights(losses, strat)
+        return weights
+
+    new_model, new_opt, loss = train_step(model, opt, batch, weights if in_warmup else weigh)
     return new_model, new_opt, loss, weights

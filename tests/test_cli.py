@@ -341,3 +341,19 @@ def test_noise_domain_outside_the_domains_exits_with_bad_params(tmp_path, capsys
     code, err = run_cli(capsys, command, config, *out)
     assert code == BadParams.exit_code
     assert err.splitlines() == [f"BadParams: noise_domains entry {entry} outside [0, 2)"]
+
+
+def test_synthetic_token_budget_over_the_bound_exits_with_bad_params(tmp_path, capsys):
+    config = write_config(tmp_path, data=synthetic(mean_length="300000000000"))
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == BadParams.exit_code
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("BadParams:") and "num_samples" in err and "mean_length" in err
+
+
+def test_synthetic_validation_token_budget_is_bounded_too(tmp_path, capsys):
+    config = write_config(tmp_path, data=synthetic(mean_length="2000000", val_size="100"))
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == BadParams.exit_code
+    assert len(err.splitlines()) == 1
+    assert err.startswith("BadParams:") and "val_size" in err and "mean_length" in err

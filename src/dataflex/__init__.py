@@ -17,7 +17,6 @@ from .data import DomainSpec, build_domain_specs, generate_corpus, make_validati
 from .evaluation import EvalResult, eval_per_domain
 from .mixers import (
     DoremiParams,
-    DoremiPipelineParams,
     OdmParams,
     OdmState,
     doremi_update,
@@ -29,7 +28,6 @@ from .mixers import (
 )
 from .model import (
     Checkpoint,
-    EmbeddingVector,
     ModelState,
     OptimizerState,
     adam_precondition,

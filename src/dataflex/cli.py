@@ -32,7 +32,7 @@ from .fileio import (
     write_metrics,
     write_scores,
 )
-from .mixers import DoremiPipelineParams, OdmParams, doremi_update, excess_loss, odm_init, odm_update
+from .mixers import DoremiParams, OdmParams, doremi_update, excess_loss, odm_init, odm_update
 from .model import snapshot
 from .trainers import run_training
 
@@ -175,21 +175,19 @@ def _cmd_mix_sim(args) -> int:
     name = cfg.component_name
     trajectory = []
     if name == "doremi":
-        knobs = params_from(DoremiPipelineParams, cfg.component_params, "doremi mixer")
+        params = params_from(DoremiParams, cfg.component_params, "doremi mixer")
         if sim.lambdas is not None:
             lambdas = [np.asarray(v, dtype=np.float64) for v in sim.lambdas]
         elif sim.proxy_losses is not None and sim.ref_losses is not None:
             lambdas = [
-                excess_loss(np.asarray(p, dtype=np.float64), np.asarray(r, dtype=np.float64), clip=knobs.clip_excess)
+                excess_loss(np.asarray(p, dtype=np.float64), np.asarray(r, dtype=np.float64), clip=params.clip_excess)
                 for p, r in zip(sim.proxy_losses, sim.ref_losses)
             ]
         else:
             raise ParseError("mix_sim for doremi needs 'lambdas' or 'proxy_losses'+'ref_losses'")
         if not lambdas:
             raise ParseError("mix_sim has no updates")
-        k = lambdas[0].size
-        params = knobs.update_params(k)
-        alpha = cfg.init_mixture_proportions or MixtureWeights.uniform(k)
+        alpha = cfg.init_mixture_proportions or MixtureWeights.uniform(lambdas[0].size)
         for i, lam in enumerate(lambdas):
             alpha = doremi_update(alpha, lam, params)
             trajectory.append({"update": i, "weights": [float(x) for x in alpha.weights], "excess_losses": [float(x) for x in lam]})

@@ -210,17 +210,12 @@ class Corpus:
         return self._by_id[sample_id]
 
 
-def empirical_proportions(corpus: Corpus, ids: Optional[Iterable[int]] = None) -> MixtureWeights:
-    """Domain proportions of the corpus, or of a subset of its sample ids."""
-    k = corpus.num_domains
-    if ids is None:
-        domains = np.fromiter((s.domain_id for s in corpus.samples), dtype=np.int64, count=len(corpus))
-    else:
-        domains = np.fromiter((corpus.by_id(i).domain_id for i in ids), dtype=np.int64)
+def empirical_proportions(corpus: Corpus) -> MixtureWeights:
+    """Domain proportions of the corpus."""
+    domains = np.fromiter((s.domain_id for s in corpus.samples), dtype=np.int64, count=len(corpus))
     if domains.size == 0:
         raise ValueError("cannot take proportions of an empty sample set")
-    counts = np.bincount(domains, minlength=k)
-    return MixtureWeights(counts / domains.size)
+    return MixtureWeights(np.bincount(domains, minlength=corpus.num_domains) / domains.size)
 
 
 @dataclass(frozen=True)

@@ -174,10 +174,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise ParseError(f"unsupported checkpoint version {version!r}; this release reads {CHECKPOINT_VERSION}")
     try:
         opt = payload["opt"]
-        m, v = (None if opt[key] is None else np.asarray(opt[key], dtype=np.float64) for key in ("m", "v"))
         return Checkpoint(
             ModelState(_checkpoint_section(ModelCfg, payload["arch"], "arch"), payload["params"]),
-            OptimizerState(opt["kind"], _checkpoint_section(OptimCfg, opt["hyper"], "opt.hyper"), m, v, int(opt["t"])),
+            OptimizerState(opt["kind"], _checkpoint_section(OptimCfg, opt["hyper"], "opt.hyper"), opt["m"], opt["v"], int(opt["t"])),
         )
     except KeyError as exc:
         raise ParseError(f"checkpoint is missing key {exc}") from None

@@ -29,45 +29,32 @@ from .model import ModelState, batch_losses, train_step
 
 @dataclass(frozen=True)
 class DoremiParams:
-    """Exponentiated-gradient settings for excess-loss reweighting."""
+    """DoReMi's knobs: the exponentiated-gradient step and the reference/proxy pipeline.
+
+    ``doremi_update`` reads ``eta`` and ``epsilon``; ``excess_loss`` is
+    clipped at zero unless ``clip_excess`` is false. ``run_doremi_pipeline``
+    reads the rest, where ``None`` derives a value from the run:
+    ``ref_steps`` defaults to ``max(warmup_step + update_step *
+    update_times, 1)`` reference steps, and ``proxy_hidden_dim`` to half the
+    target's hidden width (at least 2).
+    """
 
     eta: float = 0.1
     epsilon: float = 0.01
-    K: int = 0
-
-    def __post_init__(self):
-        if self.eta <= 0.0:
-            raise BadParams(f"eta must be positive, got {self.eta}")
-        if not (0.0 <= self.epsilon < 1.0):
-            raise BadParams(f"epsilon must lie in [0, 1), got {self.epsilon}")
-
-
-@dataclass(frozen=True)
-class DoremiPipelineParams:
-    """The user knobs of ``run_doremi_pipeline``; ``None`` derives one from the run.
-
-    ``ref_steps`` defaults to ``max(warmup_step + update_step * update_times,
-    1)`` reference steps, and ``proxy_hidden_dim`` to half the target's
-    hidden width (at least 2). ``K`` of the update comes from the corpus.
-    """
-
-    eta: float = DoremiParams.eta
-    epsilon: float = DoremiParams.epsilon
     clip_excess: bool = True
     average_weights: bool = False
     ref_steps: Optional[int] = None
     proxy_hidden_dim: Optional[int] = None
 
     def __post_init__(self):
-        self.update_params(0)  # DoremiParams checks eta and epsilon
+        if self.eta <= 0.0:
+            raise BadParams(f"eta must be positive, got {self.eta}")
+        if not (0.0 <= self.epsilon < 1.0):
+            raise BadParams(f"epsilon must lie in [0, 1), got {self.epsilon}")
         if self.ref_steps is not None and self.ref_steps < 0:
             raise BadParams(f"ref_steps must be >= 0, got {self.ref_steps}")
         if self.proxy_hidden_dim is not None and self.proxy_hidden_dim < 1:
             raise BadParams(f"proxy_hidden_dim must be >= 1, got {self.proxy_hidden_dim}")
-
-    def update_params(self, k: int) -> DoremiParams:
-        """The exponentiated-gradient settings for ``k`` domains."""
-        return DoremiParams(eta=self.eta, epsilon=self.epsilon, K=k)
 
 
 @dataclass(frozen=True)
@@ -96,7 +83,6 @@ class OdmState:
     ema_loss: np.ndarray
     seen: np.ndarray
     policy: MixtureWeights
-    updates_done: int = 0
 
 
 def odm_init(init_policy: MixtureWeights, params: OdmParams) -> OdmState:
@@ -119,7 +105,6 @@ def odm_init(init_policy: MixtureWeights, params: OdmParams) -> OdmState:
         ema_loss=np.zeros(k),
         seen=np.zeros(k, dtype=bool),
         policy=init_policy,
-        updates_done=0,
     )
 
 
@@ -200,7 +185,6 @@ def odm_update(state: OdmState, observed_domain_loss: np.ndarray, params: OdmPar
         ema_loss=ema,
         seen=state.seen | observed,
         policy=MixtureWeights(policy),
-        updates_done=state.updates_done + 1,
     )
 
 
@@ -322,12 +306,12 @@ class DoremiProxyMixer(Mixer):
     reference needs a forward pass of its own.
     """
 
-    def __init__(self, reference: ModelState, knobs: DoremiPipelineParams, k: int):
-        self.reference, self.knobs, self.params = reference, knobs, knobs.update_params(k)
+    def __init__(self, reference: ModelState, params: DoremiParams, k: int):
+        self.reference, self.params, self.k = reference, params, k
         self.proxy_window, self.ref_window = LossWindow(k), LossWindow(k)
 
     def start(self, run):
-        run.policy = MixtureWeights.uniform(self.params.K)
+        run.policy = MixtureWeights.uniform(self.k)
 
     def step(self, model, opt, batch):
         self.ref_window.add(batch, batch_losses(self.reference, batch))
@@ -339,7 +323,7 @@ class DoremiProxyMixer(Mixer):
         return train_step(model, opt, batch, observe)
 
     def update(self, policy, rng):
-        lam = excess_loss(self.proxy_window.take(), self.ref_window.take(), clip=self.knobs.clip_excess)
+        lam = excess_loss(self.proxy_window.take(), self.ref_window.take(), clip=self.params.clip_excess)
         lam[np.isnan(lam)] = 0.0  # a domain the window did not see has no excess
         return doremi_update(policy, lam, self.params), {"excess_losses": [float(x) for x in lam]}
 
@@ -350,7 +334,7 @@ class DoremiPipelineResult:
     trajectory: list
 
 
-def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, knobs: Optional[DoremiPipelineParams] = None) -> DoremiPipelineResult:
+def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, params: Optional[DoremiParams] = None) -> DoremiPipelineResult:
     """Reference/proxy two-stage mixture optimization; returns static weights.
 
     Both stages are ``dynamic_mix`` runs of the one step engine, without
@@ -363,18 +347,18 @@ def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, knobs: Optional[DoremiPi
     final (or, with ``average_weights``, time-averaged) vector is returned for
     use as a static mixture, with the proxy's trajectory records.
 
-    ``knobs`` are the parsed ``DoremiPipelineParams``; by default they are
-    parsed from ``cfg.component_params``.
+    ``params`` are the parsed ``DoremiParams``, the same object that drives
+    every update; by default they are parsed from ``cfg.component_params``.
     """
     from .trainers import _MixRun  # local import; trainers imports this module
 
-    if knobs is None:
-        knobs = params_from(DoremiPipelineParams, cfg.component_params, "doremi mixer")
+    if params is None:
+        params = params_from(DoremiParams, cfg.component_params, "doremi mixer")
     schedule = cfg.schedule
-    ref_steps = knobs.ref_steps
+    ref_steps = params.ref_steps
     if ref_steps is None:
         ref_steps = max(schedule.warmup_step + schedule.update_step * schedule.update_times, 1)
-    hidden = knobs.proxy_hidden_dim or max(2, cfg.model_cfg.hidden_dim // 2)
+    hidden = params.proxy_hidden_dim or max(2, cfg.model_cfg.hidden_dim // 2)
     stage = replace(cfg, model_cfg=replace(cfg.model_cfg, hidden_dim=hidden))
 
     # Seed children 8 and 9 (init, sampling) are the reference's, 10 and 11
@@ -383,11 +367,11 @@ def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, knobs: Optional[DoremiPi
     ref_stage = replace(stage, schedule=replace(schedule, update_times=0))
     ref = _MixRun(ref_stage, corpus, None, None, mixer=Mixer(), seed_child=8)
     ref.drive(ref_steps)
-    proxy_mixer = DoremiProxyMixer(ref.model, knobs, corpus.num_domains)
+    proxy_mixer = DoremiProxyMixer(ref.model, params, corpus.num_domains)
     proxy = _MixRun(stage, corpus, None, None, mixer=proxy_mixer, seed_child=10)
     proxy.drive(max(proxy.points, default=0))  # later steps would feed no update
 
     trajectory = proxy.result.weight_trajectory
-    if knobs.average_weights and trajectory:
+    if params.average_weights and trajectory:
         return DoremiPipelineResult(MixtureWeights(np.mean([rec["weights"] for rec in trajectory], axis=0)), trajectory)
     return DoremiPipelineResult(proxy.policy, trajectory)

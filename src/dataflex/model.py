@@ -13,14 +13,16 @@ Each rule is written once: ``_hidden`` is the one tanh layer, ``_forward``
 the one next-token pass (loss, gradient and top-1 accuracy all read it),
 ``_loss_and_cache`` and ``_backward`` the two halves of one per-sample
 gradient (``train_step`` can hand the losses of the first half to a
-weighting function before it runs the second), ``_adam_moments`` the one
-bias-corrected Adam update (``train_step`` applies it,
-``adam_precondition`` reports it), and ``_copy_state`` the one deep copy
-of a (model, optimizer) pair (``snapshot`` and ``restore``).
+weighting function before it runs the second), and ``_adam_moments`` the
+one bias-corrected Adam update (``train_step`` applies it,
+``adam_precondition`` reports it).
 
-All functions here are pure over immutable state: ``train_step`` returns new
-(model, optimizer) values instead of mutating. Per-sample accumulation runs
-in batch order so identical inputs reproduce bitwise-identical results.
+All functions here are pure over immutable state: ``ModelState`` and
+``OptimizerState`` hold read-only float64 copies of their arrays, and
+``train_step`` returns new (model, optimizer) values instead of mutating, so
+a (model, optimizer) pair is its own checkpoint and nothing deep-copies it.
+Per-sample accumulation runs in batch order so identical inputs reproduce
+bitwise-identical results.
 """
 
 from __future__ import annotations
@@ -83,37 +85,27 @@ class ModelState:
 
 @dataclass(frozen=True, eq=False)
 class OptimizerState:
+    """Optimizer kind, settings, step count and Adam's moments (None for SGD)."""
+
     kind: str
     hyper: OptimCfg
     m: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
     t: int = 0
 
-
-@dataclass(frozen=True, eq=False)
-class EmbeddingVector:
-    """Mean hidden activation of a sample, with its Euclidean norm cached."""
-
-    values: np.ndarray
-    norm: float
-
     def __post_init__(self):
-        vals = _read_only(np.asarray(self.values, dtype=np.float64).copy())
-        object.__setattr__(self, "values", vals)
-        if abs(self.norm - float(np.linalg.norm(vals))) > 1e-9:
-            raise ValueError("cached norm disagrees with values")
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "EmbeddingVector":
-        values = np.asarray(values, dtype=np.float64)
-        return cls(values, float(np.linalg.norm(values)))
+        for name in ("m", "v"):
+            a = getattr(self, name)
+            if a is not None:
+                object.__setattr__(self, name, _read_only(np.array(a, dtype=np.float64)))
 
 
 @dataclass(frozen=True, eq=False)
 class Checkpoint:
-    """A (model, optimizer) pair that shares no array with the live state.
+    """A (model, optimizer) pair.
 
-    ``snapshot`` takes one and ``restore`` is its bitwise inverse;
+    Both states are immutable, so a checkpoint holds the live values
+    themselves: ``snapshot`` pairs them and ``restore`` hands them back.
     ``fileio.save_checkpoint`` writes exactly these two values.
     """
 
@@ -211,11 +203,11 @@ def per_sample_gradient(model: ModelState, s: Sample) -> np.ndarray:
     return np.concatenate([block.ravel() for block in _backward(_loss_and_cache(model, s)[1])])
 
 
-def embed(model: ModelState, s: Sample) -> EmbeddingVector:
-    """Sentence embedding: mean hidden activation over all token positions."""
+def embed(model: ModelState, s: Sample) -> np.ndarray:
+    """Sentence embedding: the read-only mean hidden activation over all token positions."""
     if int(s.token_ids.max()) >= model.arch.vocab_size:
         raise ValueError(f"sample {s.id} has tokens outside vocab of size {model.arch.vocab_size}")
-    return EmbeddingVector.from_values(_hidden(model.unpack(), s.token_ids)[1].mean(axis=0))
+    return _read_only(_hidden(model.unpack(), s.token_ids)[1].mean(axis=0))
 
 
 def sgd_step(model: ModelState, lr: float, grad: np.ndarray) -> ModelState:
@@ -306,18 +298,12 @@ def adam_precondition(grad: np.ndarray, opt: OptimizerState) -> np.ndarray:
     return m_hat / denom
 
 
-def _copy_state(model: ModelState, opt: OptimizerState):
-    """Copies of (model, opt) that share no array with the originals."""
-    m, v = (None if a is None else a.copy() for a in (opt.m, opt.v))
-    return ModelState(model.arch, model.params), dataclasses.replace(opt, m=m, v=v)
-
-
 def snapshot(model: ModelState, opt: OptimizerState) -> Checkpoint:
-    return Checkpoint(*_copy_state(model, opt))
+    return Checkpoint(model, opt)
 
 
 def restore(ckpt: Checkpoint):
-    return _copy_state(ckpt.model, ckpt.opt)
+    return ckpt.model, ckpt.opt
 
 
 def state_digest(model: ModelState, opt: OptimizerState) -> str:

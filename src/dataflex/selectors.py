@@ -34,9 +34,7 @@ from .model import (
     adam_precondition,
     per_sample_gradient,
     per_sample_loss,
-    restore,
     sgd_step,
-    snapshot,
 )
 
 logger = logging.getLogger(__name__)
@@ -178,8 +176,7 @@ def score_delta_loss(
     Positive scores mark samples the model has learned since the reference;
     ``hardest_first`` flips the sign to prioritize un-learned samples.
     """
-    ref_model, _ = restore(ref_snapshot)
-    scores = np.array([per_sample_loss(ref_model, s) - per_sample_loss(model, s) for s in pool])
+    scores = np.array([per_sample_loss(ref_snapshot.model, s) - per_sample_loss(model, s) for s in pool])
     if hardest_first:
         scores = -scores
     return ScoreVector(_pool_ids(pool), scores, "delta_loss")
@@ -219,18 +216,26 @@ def _gradient_rows(
     return out
 
 
-def _cosine_rows(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Row-wise cosine against one vector; zero vectors score 0 by convention.
-
-    Row norms are taken ``_GRAD_CHUNK`` rows at a time, and the product skips
-    the row index when no row is zero, so neither allocates an array the
-    size of ``mat``; each row's values are bitwise those of the whole-matrix
-    calls.
-    """
-    v_norm = float(np.linalg.norm(vec))
+def _row_norms(mat: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``mat``, taken ``_GRAD_CHUNK`` rows at a time."""
     row_norms = np.empty(mat.shape[0])
     for start in range(0, mat.shape[0], _GRAD_CHUNK):
         row_norms[start:start + _GRAD_CHUNK] = np.linalg.norm(mat[start:start + _GRAD_CHUNK], axis=1)
+    return row_norms
+
+
+def _cosine_rows(mat: np.ndarray, vec: np.ndarray, row_norms: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row-wise cosine against one vector; zero vectors score 0 by convention.
+
+    ``row_norms`` are ``_row_norms(mat)``, computed here unless given, so a
+    caller that scores one matrix against many vectors takes them once.
+    Norms are chunked and the product skips the row index when no row is
+    zero, so neither allocates an array the size of ``mat``; each row's
+    values are bitwise those of the whole-matrix calls.
+    """
+    v_norm = float(np.linalg.norm(vec))
+    if row_norms is None:
+        row_norms = _row_norms(mat)
     out = np.zeros(mat.shape[0])
     if v_norm == 0.0:
         return out
@@ -273,7 +278,8 @@ def score_influence(
     if params.aggregation == "mean_gradient":
         scores = _cosine_rows(pool_g, val_g.mean(axis=0))
     else:
-        cols = [_cosine_rows(pool_g, val_g[j]) for j in range(val_g.shape[0])]
+        norms = _row_norms(pool_g)
+        cols = [_cosine_rows(pool_g, val_g[j], norms) for j in range(val_g.shape[0])]
         scores = np.max(np.stack(cols, axis=1), axis=1)
     return ScoreVector(_pool_ids(pool), scores, "influence")
 
@@ -304,28 +310,26 @@ def top1_accuracy_metric(val_set: Sequence[Sample]) -> Callable[[ModelState], fl
 
 def score_probe(
     model: ModelState,
-    opt: OptimizerState,
     pool: Sequence[Sample],
     val_metric_fn: Callable[[ModelState], float],
     probe_lr: float,
 ) -> ScoreVector:
     """Score = metric(before) - metric(after) for a single-sample virtual update.
 
-    Each probe takes one plain SGD step at ``probe_lr`` on the sample alone,
-    evaluates the metric, and restores the snapshot; the caller's (model, opt)
-    are left bitwise unchanged. Works for any scalar metric, including
+    Each probe takes one plain SGD step at ``probe_lr`` from ``model`` on the
+    sample alone and evaluates the metric on the stepped copy; ``model`` is
+    immutable, so every probe starts from the same state and the caller's
+    state is left bitwise unchanged. Works for any scalar metric, including
     non-differentiable ones.
     """
-    base = snapshot(model, opt)
     before = float(val_metric_fn(model))
     if not np.isfinite(before):
         raise NonFiniteMetric(f"metric returned {before!r} on the unperturbed model")
     scores = np.empty(len(pool))
     for i, s in enumerate(pool):
-        probe_model, _ = restore(base)
-        g = per_sample_gradient(probe_model, s)
+        g = per_sample_gradient(model, s)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite metric is reported just below
-            after = float(val_metric_fn(sgd_step(probe_model, probe_lr, g)))
+            after = float(val_metric_fn(sgd_step(model, probe_lr, g)))
         if not np.isfinite(after):
             raise NonFiniteMetric(f"metric returned {after!r} after probing sample {s.id}")
         scores[i] = before - after

@@ -47,7 +47,7 @@ from .core import (
 from .errors import BadParams, DuplicateName, UnknownComponent
 from .evaluation import eval_per_domain
 from .mixers import (
-    DoremiPipelineParams,
+    DoremiParams,
     Mixer,
     OdmMixer,
     OdmParams,
@@ -190,7 +190,7 @@ class ProbeSelector:
 
     def score(self, ctx: SelectionContext) -> ScoreVector:
         factory = mean_loss_metric if self.metric == "val_loss" else top1_accuracy_metric
-        return score_probe(ctx.model, ctx.opt, ctx.pool, factory(ctx.val), self.probe_lr)
+        return score_probe(ctx.model, ctx.pool, factory(ctx.val), self.probe_lr)
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ class DoremiMixer(Mixer):
     none, and carries the proxy's trajectory records and points.
     """
 
-    def __init__(self, params: DoremiPipelineParams):
+    def __init__(self, params: DoremiParams):
         self.params = params
 
     def start(self, run):
@@ -256,7 +256,7 @@ _BUILTINS = {
     ("mixer", "static"): (StaticMixer, _same, None),
     ("mixer", "random"): (RandomMixer, _same, None),
     ("mixer", "odm"): (OdmParams, OdmMixer, None),
-    ("mixer", "doremi"): (DoremiPipelineParams, DoremiMixer, None),
+    ("mixer", "doremi"): (DoremiParams, DoremiMixer, None),
     ("weighter", "loss"): (WeightStrategy, _same, {"strategy": "kind"}),
 }
 
@@ -390,8 +390,8 @@ class _SelectRun(_StaticRun):
         computed once per run, not re-derived after every model update.
         """
         if self.frozen_embeddings is None:
-            pool_m = np.stack([embed(self.model, s).values for s in self.corpus.samples])
-            val_m = np.stack([embed(self.model, s).values for s in self.val.samples])
+            pool_m = np.stack([embed(self.model, s) for s in self.corpus.samples])
+            val_m = np.stack([embed(self.model, s) for s in self.val.samples])
             self.frozen_embeddings = (pool_m, val_m)
         return self.frozen_embeddings
 

@@ -86,7 +86,7 @@ class TestSampleAndCorpus:
         corpus = two_domain_corpus()
         props = empirical_proportions(corpus)
         assert np.allclose(props.weights, [0.5, 0.5])
-        subset = empirical_proportions(corpus, ids=[0, 2, 4])
+        subset = empirical_proportions(Corpus([corpus.by_id(i) for i in (0, 2, 4)], corpus.domain_names, corpus.vocab_size))
         assert np.allclose(subset.weights, [1.0, 0.0])
 
 

@@ -32,14 +32,14 @@ from dataflex import (
     train_step,
 )
 from dataflex.core import params_from
-from dataflex.mixers import DoremiPipelineParams
+from dataflex.mixers import DoremiParams
 from dataflex.model import batch_losses
 
 
 def oracle_pipeline(cfg, corpus):
-    knobs = params_from(DoremiPipelineParams, cfg.component_params, "doremi mixer")
+    knobs = params_from(DoremiParams, cfg.component_params, "doremi mixer")
     k = corpus.num_domains
-    dp = knobs.update_params(k)
+    dp = knobs
     schedule = cfg.schedule
     points = set(invocation_steps(schedule))
     ref_steps = knobs.ref_steps

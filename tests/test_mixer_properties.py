@@ -24,7 +24,7 @@ def on_simplex(w: MixtureWeights) -> bool:
 def test_doremi_update_stays_on_simplex(data):
     k = data.draw(st.integers(1, 8))
     alpha = data.draw(policies(k))
-    params = DoremiParams(eta=data.draw(st.floats(1e-3, 1.0)), epsilon=data.draw(st.floats(0.0, 0.99)), K=k)
+    params = DoremiParams(eta=data.draw(st.floats(1e-3, 1.0)), epsilon=data.draw(st.floats(0.0, 0.99)))
     for _ in range(data.draw(st.integers(1, 6))):
         lam = np.array(data.draw(st.lists(st.floats(-50.0, 50.0), min_size=k, max_size=k)))
         alpha = doremi_update(alpha, lam, params)

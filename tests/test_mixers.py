@@ -56,19 +56,19 @@ class TestExcessLoss:
 class TestDoremiUpdate:
     def test_uniform_fixed_point(self):
         alpha = MixtureWeights.uniform(4)
-        out = doremi_update(alpha, np.zeros(4), DoremiParams(eta=0.1, epsilon=0.01, K=4))
+        out = doremi_update(alpha, np.zeros(4), DoremiParams(eta=0.1, epsilon=0.01))
         assert np.allclose(out.weights, alpha.weights, atol=1e-15)
 
     def test_uniform_seven_domain_start_accepted(self):
         alpha = MixtureWeights.uniform(7)
-        out = doremi_update(alpha, np.ones(7), DoremiParams(eta=0.1, epsilon=0.01, K=7))
+        out = doremi_update(alpha, np.ones(7), DoremiParams(eta=0.1, epsilon=0.01))
         assert abs(out.weights.sum() - 1.0) <= 1e-9
 
     def test_worked_two_domain_case(self):
         out = doremi_update(
             MixtureWeights(np.array([0.5, 0.5])),
             np.array([1.0, 0.0]),
-            DoremiParams(eta=0.1, epsilon=0.01, K=2),
+            DoremiParams(eta=0.1, epsilon=0.01),
         )
         assert abs(out.weights[0] - 0.52473) <= 1e-5
         assert abs(out.weights[1] - 0.47527) <= 1e-5
@@ -80,7 +80,7 @@ class TestDoremiUpdate:
             lam = rng.random(k) * 3.0
             eta = float(rng.random() * 0.5 + 0.01)
             eps = float(rng.random() * 0.2)
-            out = doremi_update(alpha, lam, DoremiParams(eta=eta, epsilon=eps, K=k))
+            out = doremi_update(alpha, lam, DoremiParams(eta=eta, epsilon=eps))
             oracle = doremi_scalar_oracle(alpha.weights, lam, eta, eps)
             assert np.allclose(out.weights, oracle, atol=1e-12)
 
@@ -88,7 +88,7 @@ class TestDoremiUpdate:
         k = 5
         alpha = rng.dirichlet(np.ones(k))
         lam = rng.random(k)
-        p = DoremiParams(eta=0.2, epsilon=0.05, K=k)
+        p = DoremiParams(eta=0.2, epsilon=0.05)
         base = doremi_update(MixtureWeights(alpha), lam, p).weights
         perm = rng.permutation(k)
         permuted = doremi_update(MixtureWeights(alpha[perm]), lam[perm], p).weights
@@ -98,7 +98,7 @@ class TestDoremiUpdate:
         k = 3
         alpha = MixtureWeights.uniform(k)
         lam = np.array([0.0, 1.0, 0.0])
-        p = DoremiParams(eta=0.1, epsilon=0.01, K=k)
+        p = DoremiParams(eta=0.1, epsilon=0.01)
         prev = alpha.weights[1]
         for _ in range(10):
             alpha = doremi_update(alpha, lam, p)
@@ -107,7 +107,7 @@ class TestDoremiUpdate:
 
     def test_non_finite_lambda_rejected(self):
         with pytest.raises(NonFinite):
-            doremi_update(MixtureWeights.uniform(2), np.array([np.inf, 0.0]), DoremiParams(K=2))
+            doremi_update(MixtureWeights.uniform(2), np.array([np.inf, 0.0]), DoremiParams())
 
 
 class TestOdmUpdate:
@@ -115,7 +115,6 @@ class TestOdmUpdate:
         init = MixtureWeights(np.array([0.541, 0.287, 0.042, 0.037, 0.034, 0.031, 0.028]))
         state = odm_init(init, OdmParams())
         assert np.array_equal(state.policy.weights, init.weights)
-        assert state.updates_done == 0
 
     def test_worked_two_domain_case(self):
         p = OdmParams(ema_decay=0.9, reward_scale=1.0, eps_min=0.1, clip_threshold=-10.0)

@@ -189,21 +189,17 @@ class TestEmbed:
     def test_identical_samples_identical_embeddings(self, tiny_model):
         a = make_sample([2, 4, 6], sid=0)
         b = make_sample([2, 4, 6], sid=1)
-        assert np.array_equal(embed(tiny_model, a).values, embed(tiny_model, b).values)
+        assert np.array_equal(embed(tiny_model, a), embed(tiny_model, b))
 
     def test_single_token_equals_its_activation(self, tiny_model):
         one = embed(tiny_model, make_sample([5]))
         emb, w1, b1, _, _ = tiny_model.unpack()
-        assert np.allclose(one.values, np.tanh(emb[5] @ w1 + b1), atol=0)
+        assert np.allclose(one, np.tanh(emb[5] @ w1 + b1), atol=0)
 
     def test_matches_independent_forward_pass(self, tiny_model, rng):
         s = random_sample(rng, TINY_ARCH.vocab_size, 5)
         expect = reference_hidden_mean(TINY_ARCH, tiny_model.params, s.token_ids.tolist())
-        assert np.allclose(embed(tiny_model, s).values, expect, atol=1e-10)
-
-    def test_norm_cached(self, tiny_model):
-        e = embed(tiny_model, make_sample([1, 2]))
-        assert e.norm == pytest.approx(np.linalg.norm(e.values), abs=1e-12)
+        assert np.allclose(embed(tiny_model, s), expect, atol=1e-10)
 
 
 class TestSnapshotRestore:

@@ -198,10 +198,9 @@ class TestSignProjection:
 
 class TestScoreProbe:
     def test_zero_probe_lr_zero_scores(self, tiny_model, rng):
-        opt = init_optimizer(OptimCfg(kind="sgd"), tiny_model.params.size)
         pool = make_pool(rng, 4)
         val = make_pool(rng, 3, start_id=50)
-        sv = score_probe(tiny_model, opt, pool, mean_loss_metric(val), probe_lr=0.0)
+        sv = score_probe(tiny_model, pool, mean_loss_metric(val), probe_lr=0.0)
         assert np.allclose(sv.scores, 0.0, atol=0)
 
     def test_leaves_state_bitwise_unchanged(self, tiny_model, rng):
@@ -209,7 +208,7 @@ class TestScoreProbe:
         pool = make_pool(rng, 3)
         val = make_pool(rng, 3, start_id=50)
         before = state_digest(tiny_model, opt)
-        score_probe(tiny_model, opt, pool, mean_loss_metric(val), probe_lr=0.01)
+        score_probe(tiny_model, pool, mean_loss_metric(val), probe_lr=0.01)
         assert state_digest(tiny_model, opt) == before
 
     def test_ranking_agrees_with_influence(self, rng):
@@ -217,15 +216,14 @@ class TestScoreProbe:
         opt = init_optimizer(OptimCfg(kind="sgd"), model.params.size)
         pool = make_pool(rng, 100, length=8)
         val = make_pool(rng, 20, length=8, start_id=1000)
-        probe = score_probe(model, opt, pool, mean_loss_metric(val), probe_lr=1e-5)
+        probe = score_probe(model, pool, mean_loss_metric(val), probe_lr=1e-5)
         infl = score_influence(model, opt, pool, val, InfluenceParams(projection_dim=None, preconditioning="none"))
         assert spearman(probe.scores, infl.scores) >= 0.9
 
     def test_accuracy_metric_is_usable(self, tiny_model, rng):
-        opt = init_optimizer(OptimCfg(kind="sgd"), tiny_model.params.size)
         pool = make_pool(rng, 2)
         val = make_pool(rng, 4, start_id=50)
-        sv = score_probe(tiny_model, opt, pool, top1_accuracy_metric(val), probe_lr=0.05)
+        sv = score_probe(tiny_model, pool, top1_accuracy_metric(val), probe_lr=0.05)
         assert np.all(np.isfinite(sv.scores))
 
 

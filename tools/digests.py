@@ -67,7 +67,7 @@ dataflex:
 #: (kind, name) -> the component_params of each of its small configs.
 VARIANTS = {
     ("selector", "random"): [{"ratio": 0.4, "accumulate": "true"}],
-    ("selector", "less"): [{"projection_dim": 64}],
+    ("selector", "less"): [{"projection_dim": 64}, {"projection_dim": 64, "aggregation": "max_cosine"}],
     ("selector", "tsds"): [{"max_k": 20, "kde_k": 10}],
     ("mixer", "doremi"): [{"ref_steps": 6}],
     ("weighter", "loss"): [{"strategy": kind} for kind in ("uniform", "linear", "softmax")],

@@ -23,6 +23,8 @@ VALIDATION_ID_START = 1_000_000_000
 
 ZIPF_EXPONENT = 1.2
 LENGTH_JITTER = 3
+#: The most uniforms that ``_DomainSampler.sample_tokens`` draws in one call.
+DRAW_WINDOW = 4096
 #: The most tokens (``count * mean_length``) that ``data.synthetic`` may ask
 #: for, for the corpus and again for the validation set: 800 MB of int64.
 MAX_SYNTHETIC_TOKENS = 10**8
@@ -139,18 +141,53 @@ class _DomainSampler:
         self.cont_cdf = np.cumsum(cont / total) if total > 0 else self.start_cdf
         self.bigram_mass = b
         succ_rng = np.random.default_rng(spec.bigram_seed)
-        self.successor = succ_rng.integers(lo, hi, size=spec.vocab_size)
+        self.successor = succ_rng.integers(lo, hi, size=spec.vocab_size).tolist()
 
     def sample_tokens(self, rng: np.random.Generator) -> np.ndarray:
+        """One sample's tokens, from ``rng`` alone.
+
+        The draws come in a fixed order: the length (``integers``), the
+        first token's uniform, then for each later position a coin
+        uniform (only when ``bigram_mass > 0``), followed by a token
+        uniform when the coin fails (``coin >= bigram_mass``). A coin that
+        lands takes the successor of the previous token. The uniforms are
+        drawn ``DRAW_WINDOW`` at a time, and those left over when the
+        sample is done are never used; ``rng`` must not serve anything
+        else afterwards.
+        """
         length = max(2, self.spec.mean_length + int(rng.integers(-LENGTH_JITTER, LENGTH_JITTER + 1)))
+        b = self.bigram_mass
+        per_position = 2 if b > 0.0 else 1  # the most uniforms a later position takes
         tokens = np.empty(length, dtype=np.int64)
-        tokens[0] = np.searchsorted(self.start_cdf, rng.random(), side="right")
-        for p in range(1, length):
-            if self.bigram_mass > 0.0 and rng.random() < self.bigram_mass:
-                tokens[p] = self.successor[tokens[p - 1]]
+        u = rng.random(min(1 + per_position * (length - 1), DRAW_WINDOW))
+        tokens[0] = prev = int(self.start_cdf.searchsorted(u[0], side="right"))
+        pos, i = 1, 1
+        while True:
+            picks = self.cont_cdf.searchsorted(u, side="right").tolist()
+            steps = min(length - pos, (u.size - i) // per_position)
+            if b > 0.0:
+                heads = (u < b).tolist()
+                successor = self.successor
+                out = []
+                for _ in range(steps):
+                    if heads[i]:
+                        prev = successor[prev]
+                        i += 1
+                    else:
+                        prev = picks[i + 1]
+                        i += 2
+                    out.append(prev)
             else:
-                tokens[p] = np.searchsorted(self.cont_cdf, rng.random(), side="right")
-        return tokens
+                out = picks[i : i + steps]
+                i += steps
+            tokens[pos : pos + steps] = out
+            pos += steps
+            if pos == length:
+                return tokens
+            # Carry the unused draws into the next window and top it up.
+            left = u[i:]
+            u = np.concatenate([left, rng.random(max(0, min(per_position * (length - pos), DRAW_WINDOW) - left.size))])
+            i = 0
 
 
 def build_domain_specs(
@@ -245,13 +282,16 @@ def make_validation(
 
     Modes: ``in_distribution`` (uses ``proportions``, uniform if omitted),
     ``single_domain`` (all samples from ``domain``), and ``skewed``
-    (largest-remainder counts from ``weights``).
+    (largest-remainder counts from ``weights``). Raises ``BadProportions``
+    when ``proportions`` or ``weights`` does not hold one entry per spec.
     """
     if m < 1:
         raise BadMode("validation size must be >= 1")
     k = len(specs)
     if mode == "in_distribution":
         p = proportions if proportions is not None else MixtureWeights.uniform(k)
+        if len(p) != k:
+            raise BadProportions(f"{k} domain specs but {len(p)} proportions")
         counts = largest_remainder_counts(m, p.weights)
     elif mode == "single_domain":
         if domain is None or not (0 <= domain < k):
@@ -261,6 +301,8 @@ def make_validation(
     elif mode == "skewed":
         if weights is None:
             raise BadMode("skewed mode needs a weight vector")
+        if len(weights) != k:
+            raise BadProportions(f"{k} domain specs but {len(weights)} skewed validation weights")
         counts = largest_remainder_counts(m, MixtureWeights.from_config(weights).weights)
     else:
         raise BadMode(f"unknown validation mode {mode!r}")

@@ -273,7 +273,7 @@ class OdmMixer(Mixer):
 
     Unlike the DoReMi proxy, ``step`` still forwards the batch once before
     ``train_step`` does: a traced ODM run is the one that exercises the
-    benchmark's ``model.batch_losses`` span (ROADMAP item 6).
+    benchmark's ``model.batch_losses`` span (ROADMAP item 9).
     """
 
     def __init__(self, params: OdmParams):

@@ -11,7 +11,7 @@ import pytest
 
 from dataflex import MixtureWeights, build_domain_specs, empirical_proportions, generate_corpus, make_validation
 from dataflex.cli import main
-from dataflex.errors import BadParams, NonFiniteMetric, ParseError
+from dataflex.errors import BadParams, BadProportions, NonFiniteMetric, ParseError
 from dataflex.fileio import write_corpus
 
 BASE = {
@@ -115,6 +115,17 @@ def test_bad_synthetic_value_exits_with_bad_params(tmp_path, capsys, key, value)
     assert code == BadParams.exit_code
     assert len(err.splitlines()) == 1
     assert err.startswith("BadParams:") and key in err
+
+
+@pytest.mark.parametrize("command", ["train", "gen-data"])
+@pytest.mark.parametrize("val_weights", ["[1.0]", "[0.5, 0.3, 0.2]"], ids=["short", "long"])
+def test_skewed_val_weights_of_the_wrong_length_exit_with_bad_proportions(tmp_path, capsys, val_weights, command):
+    config = write_config(tmp_path, data=synthetic(val_mode="skewed", val_weights=val_weights))
+    out = ["--out-dir", str(tmp_path / "out")] if command == "train" else [str(tmp_path / "corpus.jsonl")]
+    code, err = run_cli(capsys, command, config, *out)
+    assert code == BadProportions.exit_code
+    assert len(err.splitlines()) == 1
+    assert err.startswith("BadProportions:") and "skewed validation weights" in err
 
 
 def test_synthetic_typo_exits_with_bad_params(tmp_path, capsys):

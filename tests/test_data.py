@@ -93,6 +93,14 @@ class TestMakeValidation:
         assert len(val.domain_index[0]) == 90
         assert len(val.domain_index[1]) == 10
 
+    @pytest.mark.parametrize("weights", [[1.0], [0.5, 0.3, 0.2]], ids=["short", "long"])
+    def test_weights_of_the_wrong_length_raise_bad_proportions(self, weights):
+        specs = build_domain_specs(2, 64, seed=0)
+        with pytest.raises(BadProportions):
+            make_validation(specs, "skewed", 10, seed=0, weights=weights)
+        with pytest.raises(BadProportions):
+            make_validation(specs, "in_distribution", 10, seed=0, proportions=MixtureWeights.from_config(weights))
+
     def test_ids_disjoint_from_corpus(self):
         specs = build_domain_specs(2, 64, seed=0)
         corpus = generate_corpus(specs, MixtureWeights.uniform(2), 200, seed=1)

@@ -15,7 +15,9 @@ that the paths and printed lines are relative to. The set:
 - ``train`` on the four bench workloads at seed 1;
 - ``train`` on one small config per registered ``(kind, name)``, one per
   weighter strategy, and ``static`` with each optimizer;
-- ``score`` with each selector, and ``gen-data``;
+- ``score`` with each selector;
+- ``gen-data`` on the small config, on the bench shape and on a
+  ``mean_length: 2`` config, which pin the corpus generator directly;
 - ``mix-sim`` on doremi ``lambdas``, doremi proxy/reference losses, and odm;
 - every ``--help``.
 
@@ -106,6 +108,9 @@ def runs():
                 if kind == "selector":
                     yield f"score_{name}_{i}", config, ["score", "run.yaml", "scores.jsonl"]
     yield "gen_data", small_config(), ["gen-data", "run.yaml", "corpus.jsonl"]
+    yield "gen_data_bench", config_text("static", 1), ["gen-data", "run.yaml", "corpus.jsonl"]
+    shortest = small_config().replace("    val_size: 12\n", "    val_size: 12\n    mean_length: 2\n")
+    yield "gen_data_mean_length_2", shortest, ["gen-data", "run.yaml", "corpus.jsonl"]
     for run, (name, body) in MIX_SIM.items():
         yield f"mix_sim_{run}", small_config(name=name) + "mix_sim:\n" + body, ["mix-sim", "run.yaml", "trajectory.jsonl"]
     for command in ("", "train", "gen-data", "score", "mix-sim"):

@@ -11,6 +11,7 @@ from .core import (
     Schedule,
     empirical_proportions,
     id_set_digest,
+    invocation_steps,
     validate_config,
 )
 from .data import DomainSpec, build_domain_specs, generate_corpus, make_validation
@@ -57,7 +58,6 @@ from .trainers import (
     DEFAULT_REGISTRY,
     ComponentRegistry,
     RunResult,
-    invocation_steps,
     run_training,
 )
 from .weighters import WeightStrategy, compute_weights

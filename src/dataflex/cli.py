@@ -23,7 +23,7 @@ import numpy as np
 from .config import _require_map, config_from_tree, load_config_tree
 from .core import MixtureWeights, RunConfig, Schedule, check_keys, empirical_proportions, params_from, validate_config
 from .data import SyntheticParams, build_domain_specs, generate_corpus, make_validation
-from .errors import IO_ERROR_EXIT_CODE, DataflexError, ParseError, exit_code_table
+from .errors import IO_ERROR_EXIT_CODE, DataflexError, LengthMismatch, ParseError, exit_code_table
 from .fileio import (
     read_corpus,
     save_checkpoint,
@@ -179,6 +179,10 @@ def _cmd_mix_sim(args) -> int:
         if sim.lambdas is not None:
             lambdas = [np.asarray(v, dtype=np.float64) for v in sim.lambdas]
         elif sim.proxy_losses is not None and sim.ref_losses is not None:
+            if len(sim.proxy_losses) != len(sim.ref_losses):
+                raise LengthMismatch(
+                    f"mix_sim has {len(sim.proxy_losses)} proxy_losses rows but {len(sim.ref_losses)} ref_losses rows"
+                )
             lambdas = [
                 excess_loss(np.asarray(p, dtype=np.float64), np.asarray(r, dtype=np.float64), clip=params.clip_excess)
                 for p, r in zip(sim.proxy_losses, sim.ref_losses)

@@ -222,8 +222,8 @@ def empirical_proportions(corpus: Corpus) -> MixtureWeights:
 class Schedule:
     """When a data-centric component fires: warmup, interval, and update count.
 
-    ``dataflex.trainers.invocation_steps`` turns a schedule into its points
-    and states the rule for when each point fires.
+    ``invocation_steps`` turns a schedule into its points and states the
+    rule for when each point fires.
     """
 
     warmup_step: int = 0
@@ -237,6 +237,19 @@ class Schedule:
             raise BadSchedule(f"update_times must be >= 0, got {self.update_times}")
         if self.update_times > 0 and self.update_step < 1:
             raise BadSchedule(f"update_step must be >= 1 when update_times > 0, got {self.update_step}")
+
+
+def invocation_steps(s: Schedule) -> list:
+    """Global-step values at which a scheduled component fires.
+
+    This is the one schedule rule for every mode. The step counter is
+    1-based, and a point ``p`` fires after step ``p``'s optimizer update and
+    eval record; ``p = 0`` fires once, before step 1. Steps ``1..warmup_step``
+    are therefore warmup: they train on the full corpus and the initial
+    mixture, and the first selection or mixture update shapes step
+    ``warmup_step + 1`` onward. Points beyond the run's last step never fire.
+    """
+    return [s.warmup_step + j * s.update_step for j in range(s.update_times)]
 
 
 @dataclass(frozen=True)

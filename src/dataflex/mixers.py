@@ -1,12 +1,13 @@
 """Domain-mixture computation: excess-loss exponentiated-gradient updates,
-an Exp3 bandit with EMA rewards, policy-driven batch sampling, the mixers
-that a ``dynamic_mix`` run hands its steps and points to, and the
-reference/proxy pipeline that produces DoReMi's static mixture.
+an Exp3 bandit with EMA rewards, policy-driven batch sampling, the
+``Component`` hooks that every run of the step engine calls, the mixers
+built on them, and the reference/proxy pipeline that produces DoReMi's
+static mixture.
 
 ODM (arXiv:2312.02406) and DoReMi (arXiv:2305.10429) both turn each domain's
 mean batch loss since the last point into a new mixture, so both mixers
-keep a ``LossWindow``. The pipeline's two stages are mix runs of the one
-step engine in ``trainers``.
+keep a ``LossWindow``. The pipeline's two stages are runs of the one step
+engine, ``trainers._Run``, with a plain ``Mixer`` and a ``DoremiProxyMixer``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .core import (
     Corpus,
     MixtureWeights,
     RunConfig,
+    invocation_steps,
     params_from,
 )
 from .errors import BadParams, EmptyDomainWithMass, LengthMismatch, NonFinite
@@ -237,20 +239,41 @@ class LossWindow:
         return means
 
 
-class Mixer:
-    """A mixer's hooks in a ``dynamic_mix`` run; the defaults keep the mixture fixed.
+class Component:
+    """The hooks through which a run of the step engine (``trainers._Run``) calls its component.
 
-    The run calls ``start`` once, ``step`` for each of its steps, and
-    ``update`` at each of its points, under the rule of
-    ``trainers.invocation_steps``.
+    The run calls ``start`` once, when it is built, ``step`` for each of its
+    steps, and ``fire`` at each of its ``points``, under the rule of
+    ``invocation_steps``. The defaults are a static run's: plain training
+    steps and no points.
     """
 
     def start(self, run) -> None:
-        """Set up for ``run``; may change its starting ``policy`` and its ``points``."""
+        """Set up for ``run``; may set its starting ``policy``, its ``points`` and its result lists."""
 
-    def step(self, model: ModelState, opt, batch):
-        """Train on ``batch``; returns (model, opt, train loss)."""
-        return train_step(model, opt, batch, np.ones(len(batch)))
+    def step(self, run, batch, step: int):
+        """Train ``run``'s model on ``batch`` at ``step``; returns (model, opt, train loss)."""
+        return train_step(run.model, run.opt, batch, np.ones(len(batch)))
+
+    def fire(self, run, step: int) -> None:
+        """Update ``run``'s data view at schedule point ``step``."""
+
+
+class Mixer(Component):
+    """A component that moves the run's mixture at the points; the defaults keep it fixed.
+
+    ``start`` sets the points of ``invocation_steps`` and an empty
+    trajectory. At each point ``fire`` takes the new policy from ``update``
+    and appends that point's trajectory record.
+    """
+
+    def start(self, run):
+        run.points = invocation_steps(run.cfg.schedule)
+        run.result.weight_trajectory = []
+
+    def fire(self, run, step):
+        run.policy, extra = self.update(run.policy, run.rng)
+        run.result.weight_trajectory.append({"step": step, "weights": [float(x) for x in run.policy.weights], **extra})
 
     def update(self, policy: MixtureWeights, rng):
         """The policy after a point, and the extra keys of that point's trajectory record."""
@@ -271,9 +294,10 @@ class RandomMixer(Mixer):
 class OdmMixer(Mixer):
     """Exp3 over domains, rewarded by each domain's mean batch loss since the last point.
 
-    Unlike the DoReMi proxy, ``step`` still forwards the batch once before
-    ``train_step`` does: a traced ODM run is the one that exercises the
-    benchmark's ``model.batch_losses`` span (ROADMAP item 9).
+    ``start`` opens the loss window. Unlike the DoReMi proxy, ``step`` still
+    forwards the batch once before ``train_step`` does: a traced ODM run is
+    the one that exercises the benchmark's ``model.batch_losses`` span
+    (ROADMAP item 9).
     """
 
     def __init__(self, params: OdmParams):
@@ -281,11 +305,12 @@ class OdmMixer(Mixer):
         self.state = None
 
     def start(self, run):
+        super().start(run)
         self.window = LossWindow(run.corpus.num_domains)
 
-    def step(self, model, opt, batch):
-        self.window.add(batch, batch_losses(model, batch))
-        return super().step(model, opt, batch)
+    def step(self, run, batch, step):
+        self.window.add(batch, batch_losses(run.model, batch))
+        return super().step(run, batch, step)
 
     def update(self, policy, rng):
         if self.state is None:
@@ -311,16 +336,17 @@ class DoremiProxyMixer(Mixer):
         self.proxy_window, self.ref_window = LossWindow(k), LossWindow(k)
 
     def start(self, run):
+        super().start(run)
         run.policy = MixtureWeights.uniform(self.k)
 
-    def step(self, model, opt, batch):
+    def step(self, run, batch, step):
         self.ref_window.add(batch, batch_losses(self.reference, batch))
 
         def observe(losses):
             self.proxy_window.add(batch, losses)
             return np.ones(len(batch))
 
-        return train_step(model, opt, batch, observe)
+        return train_step(run.model, run.opt, batch, observe)
 
     def update(self, policy, rng):
         lam = excess_loss(self.proxy_window.take(), self.ref_window.take(), clip=self.params.clip_excess)
@@ -337,10 +363,11 @@ class DoremiPipelineResult:
 def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, params: Optional[DoremiParams] = None) -> DoremiPipelineResult:
     """Reference/proxy two-stage mixture optimization; returns static weights.
 
-    Both stages are ``dynamic_mix`` runs of the one step engine, without
+    Both stages are runs of the one step engine, ``trainers._Run``, without
     evals, on a narrower hidden layer than the target model by default
-    (``proxy_hidden_dim``). The reference stage trains ``ref_steps`` steps on
-    the initial mixture and fires at no point. The proxy stage is a
+    (``proxy_hidden_dim``). The reference stage is a plain ``Mixer`` run
+    with no update in its schedule: it trains ``ref_steps`` steps on the
+    initial mixture and fires at no point. The proxy stage is a
     ``DoremiProxyMixer`` run: it fires at the points of ``invocation_steps``
     (under the rule written there) and stops at the last one, so
     ``update_times`` exponentiated-gradient updates shape its sampling. The
@@ -350,7 +377,7 @@ def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, params: Optional[DoremiP
     ``params`` are the parsed ``DoremiParams``, the same object that drives
     every update; by default they are parsed from ``cfg.component_params``.
     """
-    from .trainers import _MixRun  # local import; trainers imports this module
+    from .trainers import _Run  # local import; trainers imports this module
 
     if params is None:
         params = params_from(DoremiParams, cfg.component_params, "doremi mixer")
@@ -365,10 +392,10 @@ def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, params: Optional[DoremiP
     # the proxy's; the target run uses the low ones. The reference's schedule
     # has no updates, so it fires at no point.
     ref_stage = replace(stage, schedule=replace(schedule, update_times=0))
-    ref = _MixRun(ref_stage, corpus, None, None, mixer=Mixer(), seed_child=8)
+    ref = _Run(ref_stage, corpus, None, Mixer(), seed_child=8)
     ref.drive(ref_steps)
     proxy_mixer = DoremiProxyMixer(ref.model, params, corpus.num_domains)
-    proxy = _MixRun(stage, corpus, None, None, mixer=proxy_mixer, seed_child=10)
+    proxy = _Run(stage, corpus, None, proxy_mixer, seed_child=10)
     proxy.drive(max(proxy.points, default=0))  # later steps would feed no update
 
     trajectory = proxy.result.weight_trajectory

@@ -1,36 +1,37 @@
-"""Training-loop orchestration: component registry, schedule, and the one
-step engine behind the four train types and the DoReMi stages.
+"""Training-loop orchestration: the component registry, the selection and
+weighting components, and the one step engine behind the four train types
+and the DoReMi stages.
 
-The engine, ``_StaticRun.drive``, is one plain loop: sample a batch from the
-run's data view, step, record an eval snapshot every ``eval_interval`` steps
-(for a run with a validation set), and fire at the run's points, those of
-``invocation_steps``. Each train type is a run object from ``_MODES`` with
-two hooks: ``step`` (plain ``train_step`` by default, loss-based weights in
-weight mode, taken from the step's own forward pass) and ``fire`` (the
-selection or mixture update at a point). The hooks update the data view
-(policy, pool and selection digest), which the eval records read. ``run_training`` drives one run for ``max_steps``
-steps; ``mixers.run_doremi_pipeline`` drives its reference and proxy stages
-as mix runs without evals.
+The engine is ``_Run``: it holds a run's state and ``_Run.drive``, one plain
+loop that samples a batch from the run's data view, steps, records an eval
+snapshot every ``eval_interval`` steps (for a run with a validation set),
+and fires at the run's points. A run calls its one component through the
+three hooks of ``mixers.Component``: ``start`` once, when the run is built
+(it may set the points, the starting policy and the result lists),
+``step`` for each step and ``fire`` at each point. The hooks update the
+data view (policy, pool and selection digest), which the eval records
+read.
 
-Mixers resolve through the registry like every other component. A mix run
-hands each step and each point to its mixer's hooks (``mixers.Mixer``), so
-ODM and the DoReMi proxy see each batch's losses under the pre-step model
-(ODM by a forward pass of its own, the proxy from its training step's), and
-``DoremiMixer`` computes its static mixture before the run.
+``_MODES`` builds each train type's component: a plain ``Component`` for
+``static``, a ``_Selection`` around a selector, the registry's ``Mixer``,
+or a ``_Weighting`` around a weight strategy. Selectors, mixers and
+weighters all resolve through the registry. ``run_training`` drives one run
+for ``max_steps`` steps; ``mixers.run_doremi_pipeline`` drives its
+reference and proxy stages as runs without evals, and ``DoremiMixer.start``
+runs that pipeline to set its run's static mixture.
 
 All modes share one batch-sampling path (domains drawn from a policy, then
 uniform within the domain), so degenerate configurations (select-all,
 uniform weights, static mixer) reproduce the static baseline bitwise under
 the same seed. Components never touch model state: a digest guard around
-every invocation enforces that the optimizer step is the only mutation
-point.
+every point enforces that the optimizer step is the only mutation point.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,15 +39,16 @@ from .core import (
     Corpus,
     MetricsRecord,
     RunConfig,
-    Schedule,
     empirical_proportions,
     id_set_digest,
+    invocation_steps,
     params_from,
     validate_config,
 )
 from .errors import BadParams, DuplicateName, UnknownComponent
 from .evaluation import eval_per_domain
 from .mixers import (
+    Component,
     DoremiParams,
     Mixer,
     OdmMixer,
@@ -63,12 +65,13 @@ from .model import (
     init_optimizer,
     snapshot,
     state_digest,
-    train_step,
+    train_step,  # likewise: steps go through mixers.Component, and the tracer wraps this name too
 )
 from .selectors import (
     InfluenceParams,
     ScoreVector,
     TsdsParams,
+    _pool_ids,
     mean_loss_metric,
     score_delta_loss,
     score_influence,
@@ -110,19 +113,6 @@ class ComponentRegistry:
         return sorted(n for k, n in self._factories if k == kind)
 
 
-def invocation_steps(s: Schedule) -> list:
-    """Global-step values at which a scheduled component fires.
-
-    This is the one schedule rule for every mode. The step counter is
-    1-based, and a point ``p`` fires after step ``p``'s optimizer update and
-    eval record; ``p = 0`` fires once, before step 1. Steps ``1..warmup_step``
-    are therefore warmup: they train on the full corpus and the initial
-    mixture, and the first selection or mixture update shapes step
-    ``warmup_step + 1`` onward. Points beyond the run's last step never fire.
-    """
-    return [s.warmup_step + j * s.update_step for j in range(s.update_times)]
-
-
 @dataclass(frozen=True)
 class SelectParams:
     """The select-mode keys of ``component_params`` that the loop itself reads."""
@@ -142,39 +132,26 @@ def select_params(params: dict) -> tuple:
     return mode, {k: v for k, v in params.items() if k not in own}
 
 
-@dataclass
-class SelectionContext:
-    """Inputs handed to a selector at an invocation step."""
-
-    model: object
-    opt: object
-    pool: Sequence
-    val: Sequence
-    rng: np.random.Generator
-    ref_checkpoint: object
-    embeddings: Callable  # () -> (pool_matrix, val_matrix), frozen at first call
-
-
 @dataclass(frozen=True)
 class LossSelector:
-    def score(self, ctx: SelectionContext) -> ScoreVector:
-        return score_loss(ctx.model, ctx.pool)
+    def score(self, run) -> ScoreVector:
+        return score_loss(run.model, run.corpus.samples)
 
 
 @dataclass(frozen=True)
 class DeltaLossSelector:
     hardest_first: bool = False
 
-    def score(self, ctx: SelectionContext) -> ScoreVector:
-        return score_delta_loss(ctx.model, ctx.ref_checkpoint, ctx.pool, hardest_first=self.hardest_first)
+    def score(self, run) -> ScoreVector:
+        return score_delta_loss(run.model, run.component.ref_checkpoint, run.corpus.samples, hardest_first=self.hardest_first)
 
 
 class InfluenceSelector:
     def __init__(self, params: InfluenceParams):
         self.params = params
 
-    def score(self, ctx: SelectionContext) -> ScoreVector:
-        return score_influence(ctx.model, ctx.opt, ctx.pool, ctx.val, self.params)
+    def score(self, run) -> ScoreVector:
+        return score_influence(run.model, run.opt, run.corpus.samples, run.val.samples, self.params)
 
 
 @dataclass(frozen=True)
@@ -188,43 +165,45 @@ class ProbeSelector:
         if self.metric not in ("val_loss", "top1_accuracy"):
             raise BadParams(f"unknown probe metric {self.metric!r}")
 
-    def score(self, ctx: SelectionContext) -> ScoreVector:
+    def score(self, run) -> ScoreVector:
         factory = mean_loss_metric if self.metric == "val_loss" else top1_accuracy_metric
-        return score_probe(ctx.model, ctx.pool, factory(ctx.val), self.probe_lr)
+        return score_probe(run.model, run.corpus.samples, factory(run.val.samples), self.probe_lr)
 
 
 @dataclass(frozen=True)
 class KnnSelector:
     k: int = 10
 
-    def score(self, ctx: SelectionContext) -> ScoreVector:
-        pool_m, val_m = ctx.embeddings()
-        ids = np.array([s.id for s in ctx.pool], dtype=np.int64)
-        return score_knn(pool_m, val_m, self.k, pool_ids=ids)
+    def __post_init__(self):
+        if self.k < 1:
+            raise BadParams(f"k must be >= 1, got {self.k}")
+
+    def score(self, run) -> ScoreVector:
+        pool_m, val_m = run.component.embeddings(run)
+        return score_knn(pool_m, val_m, self.k, pool_ids=_pool_ids(run.corpus.samples))
 
 
 class TsdsSelector:
     def __init__(self, params: TsdsParams):
         self.params = params
 
-    def score(self, ctx: SelectionContext) -> ScoreVector:
-        pool_m, val_m = ctx.embeddings()
-        ids = np.array([s.id for s in ctx.pool], dtype=np.int64)
-        return score_tsds(pool_m, val_m, self.params, pool_ids=ids)
+    def score(self, run) -> ScoreVector:
+        pool_m, val_m = run.component.embeddings(run)
+        return score_tsds(pool_m, val_m, self.params, pool_ids=_pool_ids(run.corpus.samples))
 
 
 @dataclass(frozen=True)
 class RandomSelector:
-    def score(self, ctx: SelectionContext) -> ScoreVector:
-        ids = np.array([s.id for s in ctx.pool], dtype=np.int64)
-        return ScoreVector(ids, ctx.rng.random(len(ctx.pool)), "random")
+    def score(self, run) -> ScoreVector:
+        return ScoreVector(_pool_ids(run.corpus.samples), run.rng.random(len(run.corpus)), "random")
 
 
 class DoremiMixer(Mixer):
     """DoReMi: the static mixture that ``run_doremi_pipeline`` computes before the run.
 
-    The pipeline's proxy stage fires at the points; the run itself fires
-    none, and carries the proxy's trajectory records and points.
+    The pipeline's proxy stage fires at the points. ``start`` sets no points,
+    so the run itself fires none; it carries the proxy's trajectory records
+    and points.
     """
 
     def __init__(self, params: DoremiParams):
@@ -233,9 +212,8 @@ class DoremiMixer(Mixer):
     def start(self, run):
         pipeline = run_doremi_pipeline(run.cfg, run.corpus, self.params)
         run.policy = pipeline.weights
-        run.result.weight_trajectory.extend(pipeline.trajectory)
+        run.result.weight_trajectory = list(pipeline.trajectory)
         run.result.invocations.extend(rec["step"] for rec in pipeline.trajectory)
-        run.points = []
 
 
 def _same(params):
@@ -264,10 +242,6 @@ _BUILTINS = {
 def _builtin_factory(kind: str, name: str):
     params_cls, build, aliases = _BUILTINS[(kind, name)]
     return lambda params: build(params_from(params_cls, params, f"{name} {kind}", aliases))
-
-
-def _selector_factory(name: str):
-    return _builtin_factory("selector", name)
 
 
 def _register_builtins(reg: ComponentRegistry) -> None:
@@ -302,21 +276,19 @@ class RunResult:
         return self.metrics[-1].overall_val_loss if self.metrics else float("nan")
 
 
-class _StaticRun:
-    """The state of one run; its hooks, which do nothing extra, are every mode's defaults.
+class _Run:
+    """The state of one run, and the step engine that drives it through its component.
 
     The data view is ``policy``, the domain sampling distribution; ``pool``,
     the ``Corpus`` that batches are drawn from (the whole corpus, or the
     active selection); and ``digest``, the active selection's
-    ``id_set_digest`` (0 while the pool is the whole corpus). The hooks
-    update it and the eval records read it. Model init, batch
-    sampling and the component draw from children ``seed_child``,
+    ``id_set_digest`` (0 while the pool is the whole corpus). The
+    component's hooks update it and the eval records read it. Model init,
+    batch sampling and the component draw from children ``seed_child``,
     ``seed_child + 1`` and ``seed_child + 2`` of the run seed's sequence.
     """
 
-    def __init__(
-        self, cfg: RunConfig, corpus: Corpus, val: Optional[Corpus], registry: Optional[ComponentRegistry], seed_child: int = 0
-    ):
+    def __init__(self, cfg: RunConfig, corpus: Corpus, val: Optional[Corpus], component: Component, seed_child: int = 0):
         self.cfg, self.corpus, self.val = cfg, corpus, val
         kids = np.random.SeedSequence(cfg.seed).spawn(seed_child + 3)[seed_child:]
         self.model = init_model(cfg.model_cfg, np.random.default_rng(kids[0]))
@@ -327,21 +299,24 @@ class _StaticRun:
         self.pool, self.digest = corpus, 0
         self.result = RunResult(model=self.model, opt=self.opt, metrics=[])
         self.points = []
+        self.component = component
+        component.start(self)
 
     def drive(self, steps: int) -> RunResult:
         """The one step engine: run steps ``1..steps`` and fire at ``points``.
 
-        Each step samples a batch from the data view and calls ``step``; a run
-        with a validation set then records an eval snapshot every
-        ``eval_interval`` steps. Each point calls ``fire`` under the rule of
-        ``invocation_steps`` (step 0 trains nothing, so point 0 fires before
-        step 1) and raises if that changed the model or optimizer state.
+        Each step samples a batch from the data view and calls the
+        component's ``step``; a run with a validation set then records an
+        eval snapshot every ``eval_interval`` steps. Each point calls its
+        ``fire`` under the rule of ``invocation_steps`` (step 0 trains
+        nothing, so point 0 fires before step 1) and raises if that changed
+        the model or optimizer state.
         """
-        cfg, points = self.cfg, set(self.points)
+        cfg, points, component = self.cfg, set(self.points), self.component
         for step in range(steps + 1):
             if step > 0:
                 batch, _ = sample_batch(self.policy, self.pool, cfg.optim_cfg.batch_size, self.rng_sample)
-                self.model, self.opt, loss = self.step(batch, step)
+                self.model, self.opt, loss = component.step(self, batch, step)
                 if self.val is not None and step % cfg.eval_interval == 0:
                     ev = eval_per_domain(self.model, self.val)
                     self.result.metrics.append(
@@ -356,97 +331,74 @@ class _StaticRun:
                     )
             if step in points:
                 guard = state_digest(self.model, self.opt)
-                self.fire(step)
+                component.fire(self, step)
                 if state_digest(self.model, self.opt) != guard:
                     raise RuntimeError("component invocation mutated model or optimizer state")
                 self.result.invocations.append(step)
         self.result.model, self.result.opt = self.model, self.opt
         return self.result
 
-    def step(self, batch, step: int):
-        """Train on ``batch`` at ``step``; returns (model, opt, train loss)."""
-        return train_step(self.model, self.opt, batch, np.ones(len(batch)))
 
-    def fire(self, step: int) -> None:
-        """Update the data view at schedule point ``step``."""
+class _Selection(Component):
+    """A selector's run: at each point, the pool becomes the selector's top ``select_k``.
 
+    Selectors score the whole corpus from the run (``score(run)``) and read
+    the reference checkpoint and the frozen embeddings from here, the run's
+    ``component``.
+    """
 
-class _SelectRun(_StaticRun):
-    def __init__(self, cfg, corpus, val, registry):
-        super().__init__(cfg, corpus, val, registry)
+    def __init__(self, cfg: RunConfig, registry: ComponentRegistry):
         self.mode, selector_params = select_params(cfg.component_params)
-        self.select_k = int(round(self.mode.ratio * len(corpus)))
-        if self.select_k < 1:
-            raise BadParams(f"selection ratio {self.mode.ratio} keeps no sample of {len(corpus)}")
         self.selector = registry.resolve("selector", cfg.component_name, selector_params)
-        self.points = invocation_steps(cfg.schedule)
-        self.ref_checkpoint = snapshot(self.model, self.opt)
+
+    def start(self, run):
+        self.select_k = int(round(self.mode.ratio * len(run.corpus)))
+        if self.select_k < 1:
+            raise BadParams(f"selection ratio {self.mode.ratio} keeps no sample of {len(run.corpus)}")
+        run.points = invocation_steps(run.cfg.schedule)
+        self.ref_checkpoint = snapshot(run.model, run.opt)
         self.frozen_embeddings = None
 
-    def embeddings(self):
+    def embeddings(self, run):
         """Pool and validation embeddings, taken with the model current at first use.
 
         Distribution-based selectors are offline methods: their embedding space is
         computed once per run, not re-derived after every model update.
         """
         if self.frozen_embeddings is None:
-            pool_m = np.stack([embed(self.model, s) for s in self.corpus.samples])
-            val_m = np.stack([embed(self.model, s) for s in self.val.samples])
+            pool_m = np.stack([embed(run.model, s) for s in run.corpus.samples])
+            val_m = np.stack([embed(run.model, s) for s in run.val.samples])
             self.frozen_embeddings = (pool_m, val_m)
         return self.frozen_embeddings
 
-    def fire(self, step):
-        ctx = SelectionContext(
-            model=self.model,
-            opt=self.opt,
-            pool=list(self.corpus.samples),
-            val=list(self.val.samples),
-            rng=self.rng,
-            ref_checkpoint=self.ref_checkpoint,
-            embeddings=self.embeddings,
-        )
-        scores = self.selector.score(ctx)
+    def fire(self, run, step):
+        scores = self.selector.score(run)
         chosen = select(scores, self.select_k)
-        if self.mode.accumulate and self.result.selections:
-            chosen = sorted(set(chosen) | set(self.result.selections[-1].ids))
-        corpus = self.corpus
-        self.pool = Corpus([corpus.by_id(i) for i in chosen], corpus.domain_names, corpus.vocab_size)
-        self.policy = empirical_proportions(self.pool)
-        self.digest = 0 if len(self.pool) == len(corpus) else id_set_digest(chosen)
-        self.ref_checkpoint = snapshot(self.model, self.opt)
-        self.result.selections.append(SelectionEvent(step=step, ids=tuple(chosen), digest=self.digest, scores=scores))
+        if self.mode.accumulate and run.result.selections:
+            chosen = sorted(set(chosen) | set(run.result.selections[-1].ids))
+        corpus = run.corpus
+        run.pool = Corpus([corpus.by_id(i) for i in chosen], corpus.domain_names, corpus.vocab_size)
+        run.policy = empirical_proportions(run.pool)
+        run.digest = 0 if len(run.pool) == len(corpus) else id_set_digest(chosen)
+        self.ref_checkpoint = snapshot(run.model, run.opt)
+        run.result.selections.append(SelectionEvent(step=step, ids=tuple(chosen), digest=run.digest, scores=scores))
 
 
-class _MixRun(_StaticRun):
-    """A run whose steps and points belong to its mixer (the registry's, unless one is given)."""
+class _Weighting(Component):
+    """A weighter's run: after warmup, each step weights its samples by their losses."""
 
-    def __init__(self, cfg, corpus, val, registry, mixer: Optional[Mixer] = None, seed_child: int = 0):
-        super().__init__(cfg, corpus, val, registry, seed_child)
-        self.mixer = registry.resolve("mixer", cfg.component_name, cfg.component_params) if mixer is None else mixer
-        self.result.weight_trajectory = []
-        self.points = invocation_steps(cfg.schedule)
-        self.mixer.start(self)
+    def __init__(self, strategy: WeightStrategy):
+        self.strategy = strategy
 
-    def step(self, batch, step):
-        return self.mixer.step(self.model, self.opt, batch)
+    def start(self, run):
+        run.result.weight_stats = []
 
-    def fire(self, step):
-        self.policy, extra = self.mixer.update(self.policy, self.rng)
-        self.result.weight_trajectory.append({"step": step, "weights": [float(x) for x in self.policy.weights], **extra})
-
-
-class _WeightRun(_StaticRun):
-    def __init__(self, cfg, corpus, val, registry):
-        super().__init__(cfg, corpus, val, registry)
-        self.strategy = registry.resolve("weighter", cfg.component_name, cfg.component_params)
-        self.result.weight_stats = []
-
-    def step(self, batch, step):
-        in_warmup = step <= self.cfg.schedule.warmup_step
-        model, opt, loss, weights = weighter_apply(self.model, self.opt, batch, self.strategy, in_warmup=in_warmup)
+    def step(self, run, batch, step):
+        in_warmup = step <= run.cfg.schedule.warmup_step
+        model, opt, loss, weights = weighter_apply(run.model, run.opt, batch, self.strategy, in_warmup=in_warmup)
         norm = weights / weights.sum()
         positive = norm[norm > 0.0]
-        self.result.weight_stats.append(
+        run.result.weight_stats.append(
             {
                 "step": step,
                 "min_weight": float(weights.min()),
@@ -457,12 +409,12 @@ class _WeightRun(_StaticRun):
         return model, opt, loss
 
 
-#: train_type -> the run that carries it out.
+#: train_type -> (cfg, registry) -> the component of its run.
 _MODES = {
-    "static": _StaticRun,
-    "dynamic_select": _SelectRun,
-    "dynamic_mix": _MixRun,
-    "dynamic_weight": _WeightRun,
+    "static": lambda cfg, registry: Component(),
+    "dynamic_select": _Selection,
+    "dynamic_mix": lambda cfg, registry: registry.resolve("mixer", cfg.component_name, cfg.component_params),
+    "dynamic_weight": lambda cfg, registry: _Weighting(registry.resolve("weighter", cfg.component_name, cfg.component_params)),
 }
 
 
@@ -475,4 +427,5 @@ def run_training(cfg: RunConfig, corpus: Corpus, val: Corpus, registry: Optional
     its pipeline).
     """
     validate_config(cfg, corpus)
-    return _MODES[cfg.train_type](cfg, corpus, val, registry or DEFAULT_REGISTRY).drive(cfg.max_steps)
+    component = _MODES[cfg.train_type](cfg, registry or DEFAULT_REGISTRY)
+    return _Run(cfg, corpus, val, component).drive(cfg.max_steps)

@@ -77,7 +77,7 @@ def apply(
     those losses in its own forward pass and hands them to
     ``compute_weights`` before it accumulates any gradient, so the step is
     bitwise the one that weights by ``batch_losses`` first. ``in_warmup``
-    follows the schedule rule of ``dataflex.trainers.invocation_steps``:
+    follows the schedule rule of ``dataflex.core.invocation_steps``:
     steps ``1..warmup_step`` are warmup. Returns
     ``(model', opt', weighted_mean_loss, weights)``.
     """

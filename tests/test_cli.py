@@ -11,7 +11,7 @@ import pytest
 
 from dataflex import MixtureWeights, build_domain_specs, empirical_proportions, generate_corpus, make_validation
 from dataflex.cli import main
-from dataflex.errors import BadParams, BadProportions, NonFiniteMetric, ParseError
+from dataflex.errors import BadParams, BadProportions, LengthMismatch, NonFiniteMetric, ParseError
 from dataflex.fileio import write_corpus
 
 BASE = {
@@ -86,6 +86,16 @@ def test_mix_sim_doremi_honours_clip_excess(tmp_path, capsys, clip, expected):
     assert code == 0
     (record,) = [json.loads(line) for line in out.read_text().splitlines()]
     assert record["excess_losses"] == expected
+
+
+def test_mix_sim_doremi_loss_rows_of_different_counts_exit_with_length_mismatch(tmp_path, capsys):
+    sim = "  proxy_losses:\n    - [1.0, 2.5]\n    - [1.0, 2.5]\n    - [1.0, 2.5]\n  ref_losses:\n    - [2.0, 2.0]\n"
+    config = write_config(tmp_path, dataflex="  component_name: doremi\n", mix_sim=sim)
+    out = tmp_path / "traj.jsonl"
+    code, err = run_cli(capsys, "mix-sim", config, str(out))
+    assert code == LengthMismatch.exit_code == 12
+    assert err.splitlines() == ["LengthMismatch: mix_sim has 3 proxy_losses rows but 1 ref_losses rows"]
+    assert not out.exists()
 
 
 SYNTH = {"num_samples": "40", "num_domains": "2", "seed": "1", "val_size": "10"}
@@ -368,3 +378,16 @@ def test_synthetic_validation_token_budget_is_bounded_too(tmp_path, capsys):
     assert code == BadParams.exit_code
     assert len(err.splitlines()) == 1
     assert err.startswith("BadParams:") and "val_size" in err and "mean_length" in err
+
+
+NEAR = "  train_type: dynamic_select\n  component_name: near\n  warmup_step: 2\n  update_step: 2\n  update_times: 1\n"
+
+
+@pytest.mark.parametrize("command", ["train", "score"])
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_near_k_below_one_exits_with_bad_params(tmp_path, capsys, command, k):
+    config = write_config(tmp_path, dataflex=NEAR + f"  component_params:\n    k: {k}\n")
+    out = tmp_path / "out"
+    code, err = run_cli(capsys, command, config, *(["--out-dir", str(out)] if command == "train" else [str(out)]))
+    assert code == BadParams.exit_code
+    assert err.splitlines() == [f"BadParams: k must be >= 1, got {k}"]

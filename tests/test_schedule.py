@@ -28,7 +28,7 @@ from dataflex import (
     run_training,
 )
 from dataflex.cli import _build_data, _load_run_inputs, main
-from dataflex.trainers import _selector_factory
+from dataflex.trainers import _builtin_factory
 
 ARCH = ModelCfg(vocab_size=64, embed_dim=12, hidden_dim=16)
 OPTIM = OptimCfg(kind="adam", learning_rate=0.005, batch_size=8)
@@ -155,13 +155,13 @@ def test_cli_score_equals_first_selection_scores(tmp_path, name, warmup):
         def __init__(self, inner):
             self.inner = inner
 
-        def score(self, ctx):
-            scores = self.inner.score(ctx)
+        def score(self, run):
+            scores = self.inner.score(run)
             seen.append(scores)
             return scores
 
     reg = ComponentRegistry()
-    reg.register("selector", name, lambda params: Recording(_selector_factory(name)(params)))
+    reg.register("selector", name, lambda params: Recording(_builtin_factory("selector", name)(params)))
     tree, cfg = _load_run_inputs(config, argparse.Namespace())
     corpus, val = _build_data(tree, cfg)
     result = run_training(cfg, corpus, val, registry=reg)

@@ -20,7 +20,7 @@ from dataflex import trainers
 from dataflex.fileio import metrics_digest
 from dataflex.mixers import sample_batch
 from dataflex.selectors import ScoreVector
-from dataflex.trainers import DEFAULT_REGISTRY, InfluenceSelector, OdmMixer, _selector_factory
+from dataflex.trainers import DEFAULT_REGISTRY, InfluenceSelector, OdmMixer, _builtin_factory
 
 ARCH = ModelCfg(vocab_size=64, embed_dim=12, hidden_dim=16)
 OPTIM = OptimCfg(kind="adam", learning_rate=0.005, batch_size=8)
@@ -71,9 +71,9 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         reg = ComponentRegistry()
-        reg.register("selector", "loss", _selector_factory("loss"))
+        reg.register("selector", "loss", _builtin_factory("selector", "loss"))
         with pytest.raises(DuplicateName):
-            reg.register("selector", "loss", _selector_factory("loss"))
+            reg.register("selector", "loss", _builtin_factory("selector", "loss"))
 
     def test_unknown_params_rejected(self):
         with pytest.raises(BadParams):
@@ -279,12 +279,12 @@ class TestComponentPurity:
         reg = ComponentRegistry()
 
         class VandalSelector:
-            def score(self, ctx):
-                params = ctx.model.params
+            def score(self, run):
+                params = run.model.params
                 params.flags.writeable = True
                 params[0] += 1.0
-                ids = np.array([s.id for s in ctx.pool])
-                return ScoreVector(ids, np.zeros(len(ctx.pool)), "vandal")
+                ids = np.array([s.id for s in run.corpus.samples])
+                return ScoreVector(ids, np.zeros(len(run.corpus.samples)), "vandal")
 
         reg.register("selector", "vandal", lambda params: VandalSelector())
         cfg = cfg_for("dynamic_select", "vandal", Schedule(5, 5, 1), {"ratio": 0.5}, max_steps=10)

@@ -9,7 +9,8 @@ line-accurate; nothing in this package needs more.
 ``SECTIONS`` maps each config key to the dataclass field it sets. Defaults
 live only on the dataclasses (``ModelCfg``, ``OptimCfg``, ``Schedule``,
 ``RunConfig``): a key left out of a file takes the field's default, and
-values are coerced and checked by ``core.params_from``.
+values are coerced by ``core.params_from`` and checked against the bounds
+declared on each field (``core.check_fields``).
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import operator
 import typing
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -20,6 +21,7 @@ from .errors import (
     BadParams,
     BadSchedule,
     BadSimplex,
+    DataflexError,
     NonFinite,
     UnknownComponent,
     UnknownTrainType,
@@ -70,9 +72,16 @@ def params_from(cls, params: Mapping, label: str, aliases: Optional[Mapping[str,
     A key names a field of ``cls``, or maps to one through ``aliases`` (user
     key -> field name); an aliased field answers to its alias only. Each value
     is coerced by its field's type; only an ``Optional`` field takes ``None``.
-    Every default comes from ``cls`` itself; its ``__post_init__`` checks the
-    values. Unknown keys (``check_keys``) and values that cannot be coerced
-    raise ``BadParams`` naming the key and ``label``.
+    Every default comes from ``cls`` itself. Unknown keys (``check_keys``)
+    and values that cannot be coerced raise ``BadParams`` naming the key and
+    ``label``.
+
+    The one bounds rule: each field's range or choices are declared on the
+    field (``bounded``), and ``cls.__post_init__`` enforces them through
+    ``check_fields``, whose every comparison fails for NaN. So a value out of
+    range fails here, not during a run, and the error names the user's key
+    (the alias, where there is one). ``__post_init__`` also holds the rules
+    that tie fields together.
     """
     aliases = aliases or {}
     hints = typing.get_type_hints(cls)
@@ -86,7 +95,13 @@ def params_from(cls, params: Mapping, label: str, aliases: Optional[Mapping[str,
             kwargs[keys[key]] = _coerce(value, hint, optional)
         except (TypeError, ValueError, OverflowError):
             raise BadParams(f"{label}: {key} = {value!r} is not a valid {getattr(hint, '__name__', hint)}") from None
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except DataflexError as exc:
+        key = {name: key for key, name in aliases.items() if key != name}.get(exc.field)
+        if key is None:
+            raise
+        raise type(exc)(key + str(exc)[len(exc.field):]) from None
 
 
 def check_keys(keys: Iterable[str], allowed: Iterable[str], label: str) -> None:
@@ -98,6 +113,51 @@ def check_keys(keys: Iterable[str], allowed: Iterable[str], label: str) -> None:
     unknown = sorted(set(keys) - set(allowed))
     if unknown:
         raise BadParams(f"unknown parameter(s) for {label}: {unknown}; allowed: {sorted(allowed)}")
+
+
+#: Bound keyword -> (symbol, comparison). Every comparison is false for NaN.
+_BOUNDS = {"gt": (">", operator.gt), "ge": (">=", operator.ge), "lt": ("<", operator.lt), "le": ("<=", operator.le)}
+
+
+def bounded(default, *, gt=None, ge=None, lt=None, le=None, choices=None):
+    """A dataclass field whose value ``check_fields`` holds within the given bounds or ``choices``.
+
+    An argument left ``None`` sets no bound. ``lt=math.inf`` makes a float
+    field finite, and ``ge=-math.inf`` admits every float but NaN.
+    """
+    bounds = {key: b for key, b in (("gt", gt), ("ge", ge), ("lt", lt), ("le", le)) if b is not None}
+    return field(default=default, metadata={"bounds": bounds, "choices": choices})
+
+
+def _range_text(bounds: dict) -> str:
+    if len(bounds) == 2:  # one lower and one upper bound; "ge"/"gt" sort before "le"/"lt"
+        (low, lo), (high, hi) = sorted(bounds.items())
+        return f"lie in {'[' if low == 'ge' else '('}{lo:g}, {hi:g}{']' if high == 'le' else ')'}"
+    ((key, b),) = bounds.items()
+    return f"be {_BOUNDS[key][0]} {b:g}"
+
+
+def check_fields(obj, error=BadParams) -> None:
+    """Raise ``error`` naming the first field of ``obj`` outside its ``bounded`` range or choices.
+
+    This is the one bounds rule of every parameter dataclass; each calls it
+    from ``__post_init__``. A ``None`` value (an ``Optional`` field left
+    unset) is not checked. The error's ``field`` is the field's name.
+    """
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not f.metadata or value is None:
+            continue
+        choices, bounds = f.metadata["choices"], f.metadata["bounds"]
+        if choices is not None and value not in choices:
+            problem = f"must be one of {list(choices)}"
+        elif not all(_BOUNDS[key][1](value, b) for key, b in bounds.items()):
+            problem = f"must {_range_text(bounds)}"
+        else:
+            continue
+        exc = error(f"{f.name} {problem}, got {value!r}")
+        exc.field = f.name
+        raise exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +194,8 @@ class MixtureWeights:
 
     @classmethod
     def uniform(cls, k: int) -> "MixtureWeights":
+        if k < 1:
+            raise BadSimplex(f"uniform weights need at least one domain, got {k}")
         return cls(np.full(k, 1.0 / k))
 
     def __len__(self) -> int:
@@ -226,15 +288,12 @@ class Schedule:
     rule for when each point fires.
     """
 
-    warmup_step: int = 0
+    warmup_step: int = bounded(0, ge=0)
     update_step: int = 1
-    update_times: int = 0
+    update_times: int = bounded(0, ge=0)
 
     def __post_init__(self):
-        if self.warmup_step < 0:
-            raise BadSchedule(f"warmup_step must be >= 0, got {self.warmup_step}")
-        if self.update_times < 0:
-            raise BadSchedule(f"update_times must be >= 0, got {self.update_times}")
+        check_fields(self, BadSchedule)
         if self.update_times > 0 and self.update_step < 1:
             raise BadSchedule(f"update_step must be >= 1 when update_times > 0, got {self.update_step}")
 
@@ -259,29 +318,25 @@ class ModelCfg:
     vocab_size: int = 64
     embed_dim: int = 16
     hidden_dim: int = 32
-    task: str = "lm"
+    task: str = bounded("lm", choices=("lm",))  # next-token LM only
 
     def __post_init__(self):
         if min(self.vocab_size, self.embed_dim, self.hidden_dim) < 1:
             raise BadParams("model dimensions must be positive")
-        if self.task != "lm":
-            raise BadParams(f"unsupported task {self.task!r}; only next-token 'lm' is implemented")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class OptimCfg:
-    kind: str = "adam"
+    kind: str = bounded("adam", choices=("sgd", "adam"))
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    batch_size: int = 8
+    batch_size: int = bounded(8, ge=1)
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise BadParams(f"optimizer kind must be 'sgd' or 'adam', got {self.kind!r}")
-        if self.batch_size < 1:
-            raise BadParams(f"batch_size must be >= 1, got {self.batch_size}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -295,20 +350,15 @@ class RunConfig:
     model_cfg: ModelCfg = field(default_factory=ModelCfg)
     optim_cfg: OptimCfg = field(default_factory=OptimCfg)
     component_params: Mapping[str, object] = field(default_factory=dict)
-    seed: int = 0
-    max_steps: int = 1000
-    eval_interval: int = 200
+    seed: int = bounded(0, ge=0)
+    max_steps: int = bounded(1000, ge=0)
+    eval_interval: int = bounded(200, ge=1)
 
     def __post_init__(self):
         if self.train_type not in TRAIN_TYPES:
             raise UnknownTrainType(f"train_type {self.train_type!r}; expected one of {TRAIN_TYPES}")
         object.__setattr__(self, "component_params", dict(self.component_params))
-        if self.seed < 0:
-            raise BadParams(f"seed must be >= 0, got {self.seed}")
-        if self.max_steps < 0:
-            raise BadParams(f"max_steps must be >= 0, got {self.max_steps}")
-        if self.eval_interval < 1:
-            raise BadParams(f"eval_interval must be >= 1, got {self.eval_interval}")
+        check_fields(self)
 
 
 def validate_config(cfg: RunConfig, corpus: Corpus) -> None:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Corpus, MixtureWeights, Sample
+from .core import Corpus, MixtureWeights, Sample, bounded, check_fields
 from .errors import BadMode, BadParams, BadProportions
 
 VALIDATION_ID_START = 1_000_000_000
@@ -74,26 +74,19 @@ class SyntheticParams:
     """
 
     num_samples: int = 1000
-    num_domains: int = 3
-    seed: Optional[int] = None
+    num_domains: int = bounded(3, ge=1)
+    seed: Optional[int] = bounded(None, ge=0)
     proportions: Optional[list[float]] = None
     noise_domains: Optional[list[int]] = None
-    mean_length: int = 12
+    mean_length: int = bounded(12, ge=2)
     val_size: Optional[int] = None
     val_mode: str = "in_distribution"
     val_domain: Optional[int] = None
     val_weights: Optional[list[float]] = None
-    val_seed: Optional[int] = None
+    val_seed: Optional[int] = bounded(None, ge=0)
 
     def __post_init__(self):
-        if self.num_domains < 1:
-            raise BadParams(f"data.synthetic: num_domains must be >= 1, got {self.num_domains}")
-        if self.mean_length < 2:
-            raise BadParams(f"data.synthetic: mean_length must be >= 2, got {self.mean_length}")
-        for name in ("seed", "val_seed"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise BadParams(f"data.synthetic: {name} must be >= 0, got {value}")
+        check_fields(self)
         for name, count in (("num_samples", self.num_samples), ("val_size", self.validation_size)):
             if count * self.mean_length > MAX_SYNTHETIC_TOKENS:
                 raise BadParams(

@@ -11,6 +11,8 @@ class DataflexError(Exception):
     """Base class for all errors raised by this package."""
 
     exit_code = 3
+    #: The parameter field whose bound ``core.check_fields`` found broken, else None.
+    field = None
 
 
 class ParseError(DataflexError):

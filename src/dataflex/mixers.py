@@ -22,6 +22,8 @@ from .core import (
     Corpus,
     MixtureWeights,
     RunConfig,
+    bounded,
+    check_fields,
     invocation_steps,
     params_from,
 )
@@ -41,40 +43,28 @@ class DoremiParams:
     target's hidden width (at least 2).
     """
 
-    eta: float = 0.1
-    epsilon: float = 0.01
+    eta: float = bounded(0.1, gt=0.0)
+    epsilon: float = bounded(0.01, ge=0.0, lt=1.0)
     clip_excess: bool = True
     average_weights: bool = False
-    ref_steps: Optional[int] = None
-    proxy_hidden_dim: Optional[int] = None
+    ref_steps: Optional[int] = bounded(None, ge=0)
+    proxy_hidden_dim: Optional[int] = bounded(None, ge=1)
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise BadParams(f"eta must be positive, got {self.eta}")
-        if not (0.0 <= self.epsilon < 1.0):
-            raise BadParams(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if self.ref_steps is not None and self.ref_steps < 0:
-            raise BadParams(f"ref_steps must be >= 0, got {self.ref_steps}")
-        if self.proxy_hidden_dim is not None and self.proxy_hidden_dim < 1:
-            raise BadParams(f"proxy_hidden_dim must be >= 1, got {self.proxy_hidden_dim}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class OdmParams:
     """Exp3 bandit settings: EMA decay, reward scaling, and exploration floor."""
 
-    ema_decay: float = 0.90
-    reward_scale: float = 15.0
-    eps_min: float = 0.01
-    clip_threshold: float = -10.0
+    ema_decay: float = bounded(0.90, ge=0.0, lt=1.0)
+    reward_scale: float = bounded(15.0, gt=0.0)
+    eps_min: float = bounded(0.01, gt=0.0)
+    clip_threshold: float = bounded(-10.0, ge=-math.inf)
 
     def __post_init__(self):
-        if not (0.0 <= self.ema_decay < 1.0):
-            raise BadParams(f"ema_decay must lie in [0, 1), got {self.ema_decay}")
-        if self.reward_scale <= 0.0:
-            raise BadParams(f"reward_scale must be positive, got {self.reward_scale}")
-        if self.eps_min <= 0.0:
-            raise BadParams(f"eps_min must be positive, got {self.eps_min}")
+        check_fields(self)
 
 
 @dataclass(frozen=True, eq=False)

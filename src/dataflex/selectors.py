@@ -16,9 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Sample, _read_only
+from .core import Sample, _read_only, bounded, check_fields
 from .errors import (
-    BadParams,
     ColdOptimizer,
     EmptyValidation,
     KTooLarge,
@@ -73,41 +72,29 @@ class InfluenceParams:
     random projection (exact cosine).
     """
 
-    projection_dim: Optional[int] = 512
-    projection_seed: int = 0
-    preconditioning: str = "adam"
-    aggregation: str = "mean_gradient"
+    projection_dim: Optional[int] = bounded(512, ge=1)
+    projection_seed: int = bounded(0, ge=0)
+    preconditioning: str = bounded("adam", choices=("none", "adam"))
+    aggregation: str = bounded("mean_gradient", choices=("mean_gradient", "max_cosine"))
 
     def __post_init__(self):
         if self.projection_dim == 0:
             object.__setattr__(self, "projection_dim", None)
-        if self.projection_dim is not None and self.projection_dim < 1:
-            raise BadParams(f"projection_dim must be >= 1, got {self.projection_dim}")
-        if self.preconditioning not in ("none", "adam"):
-            raise BadParams(f"preconditioning must be 'none' or 'adam', got {self.preconditioning!r}")
-        if self.aggregation not in ("mean_gradient", "max_cosine"):
-            raise BadParams(f"aggregation must be 'mean_gradient' or 'max_cosine', got {self.aggregation!r}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class TsdsParams:
     """Retrieval + KDE scoring parameters."""
 
-    max_K: int = 5000
-    kde_K: int = 1000
-    sigma: float = 0.75
-    tradeoff_alpha: float = 0.6
-    C: float = 5.0
+    max_K: int = bounded(5000, ge=1)
+    kde_K: int = bounded(1000, ge=1)
+    sigma: float = bounded(0.75, gt=0.0)
+    tradeoff_alpha: float = bounded(0.6, ge=0.0, le=1.0)
+    C: float = bounded(5.0, gt=0.0)
 
     def __post_init__(self):
-        if self.max_K < 1 or self.kde_K < 1:
-            raise BadParams("max_K and kde_K must be >= 1")
-        if self.sigma <= 0.0:
-            raise BadParams(f"sigma must be positive, got {self.sigma}")
-        if not (0.0 <= self.tradeoff_alpha <= 1.0):
-            raise BadParams(f"tradeoff_alpha must lie in [0, 1], got {self.tradeoff_alpha}")
-        if self.C <= 0.0:
-            raise BadParams(f"C must be positive, got {self.C}")
+        check_fields(self)
 
 
 @lru_cache(maxsize=4)

@@ -39,13 +39,15 @@ from .core import (
     Corpus,
     MetricsRecord,
     RunConfig,
+    bounded,
+    check_fields,
     empirical_proportions,
     id_set_digest,
     invocation_steps,
     params_from,
     validate_config,
 )
-from .errors import BadParams, DuplicateName, UnknownComponent
+from .errors import BadParams, DuplicateName, KTooLarge, UnknownComponent
 from .evaluation import eval_per_domain
 from .mixers import (
     Component,
@@ -117,12 +119,11 @@ class ComponentRegistry:
 class SelectParams:
     """The select-mode keys of ``component_params`` that the loop itself reads."""
 
-    ratio: float = 0.5
+    ratio: float = bounded(0.5, gt=0.0, le=1.0)
     accumulate: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.ratio <= 1.0):
-            raise BadParams(f"selection ratio must lie in (0, 1], got {self.ratio}")
+        check_fields(self)
 
 
 def select_params(params: dict) -> tuple:
@@ -156,14 +157,11 @@ class InfluenceSelector:
 
 @dataclass(frozen=True)
 class ProbeSelector:
-    probe_lr: float = 1e-3
-    metric: str = "val_loss"
+    probe_lr: float = bounded(1e-3, gt=0.0, lt=np.inf)
+    metric: str = bounded("val_loss", choices=("val_loss", "top1_accuracy"))
 
     def __post_init__(self):
-        if not (np.isfinite(self.probe_lr) and self.probe_lr > 0.0):
-            raise BadParams(f"probe_lr must be finite and > 0, got {self.probe_lr}")
-        if self.metric not in ("val_loss", "top1_accuracy"):
-            raise BadParams(f"unknown probe metric {self.metric!r}")
+        check_fields(self)
 
     def score(self, run) -> ScoreVector:
         factory = mean_loss_metric if self.metric == "val_loss" else top1_accuracy_metric
@@ -172,11 +170,15 @@ class ProbeSelector:
 
 @dataclass(frozen=True)
 class KnnSelector:
-    k: int = 10
+    k: int = bounded(10, ge=1)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise BadParams(f"k must be >= 1, got {self.k}")
+        check_fields(self)
+
+    def start(self, run):
+        """Reject a ``k`` above the validation size before the run's first step."""
+        if self.k > len(run.val):
+            raise KTooLarge(f"k={self.k} outside [1, {len(run.val)}]")
 
     def score(self, run) -> ScoreVector:
         pool_m, val_m = run.component.embeddings(run)
@@ -344,7 +346,8 @@ class _Selection(Component):
 
     Selectors score the whole corpus from the run (``score(run)``) and read
     the reference checkpoint and the frozen embeddings from here, the run's
-    ``component``.
+    ``component``. A selector may also define ``start(run)``, called once
+    before step 1 to reject what the run's data rules out.
     """
 
     def __init__(self, cfg: RunConfig, registry: ComponentRegistry):
@@ -355,6 +358,7 @@ class _Selection(Component):
         self.select_k = int(round(self.mode.ratio * len(run.corpus)))
         if self.select_k < 1:
             raise BadParams(f"selection ratio {self.mode.ratio} keeps no sample of {len(run.corpus)}")
+        getattr(self.selector, "start", lambda run: None)(run)
         run.points = invocation_steps(run.cfg.schedule)
         self.ref_checkpoint = snapshot(run.model, run.opt)
         self.frozen_embeddings = None

@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParams, NegativeLoss, NonFinite
+from .core import bounded, check_fields
+from .errors import NegativeLoss, NonFinite
 from .model import (
     ModelState,
     OptimizerState,
@@ -31,14 +32,11 @@ class WeightStrategy:
     ``softmax`` (batch-size-scaled softmax of loss / temperature).
     """
 
-    kind: str = "softmax"
-    temperature: float = 1.0
+    kind: str = bounded("softmax", choices=("uniform", "linear", "softmax"))
+    temperature: float = bounded(1.0, gt=0.0)
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "linear", "softmax"):
-            raise BadParams(f"unknown weighting kind {self.kind!r}")
-        if self.temperature <= 0.0:
-            raise BadParams(f"temperature must be positive, got {self.temperature}")
+        check_fields(self)
 
 
 def compute_weights(losses: Sequence[float], strat: WeightStrategy) -> np.ndarray:

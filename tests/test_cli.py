@@ -10,8 +10,9 @@ import warnings
 import pytest
 
 from dataflex import MixtureWeights, build_domain_specs, empirical_proportions, generate_corpus, make_validation
+from dataflex import mixers, weighters
 from dataflex.cli import main
-from dataflex.errors import BadParams, BadProportions, LengthMismatch, NonFiniteMetric, ParseError
+from dataflex.errors import BadParams, BadProportions, BadSimplex, KTooLarge, LengthMismatch, NonFiniteMetric, ParseError
 from dataflex.fileio import write_corpus
 
 BASE = {
@@ -391,3 +392,63 @@ def test_near_k_below_one_exits_with_bad_params(tmp_path, capsys, command, k):
     code, err = run_cli(capsys, command, config, *(["--out-dir", str(out)] if command == "train" else [str(out)]))
     assert code == BadParams.exit_code
     assert err.splitlines() == [f"BadParams: k must be >= 1, got {k}"]
+
+
+@pytest.fixture
+def train_steps(monkeypatch):
+    """The training steps taken, counted at both modules that step a model."""
+    calls = []
+
+    def counting(inner):
+        def train_step(*args):
+            calls.append(1)
+            return inner(*args)
+
+        return train_step
+
+    for module in (mixers, weighters):
+        monkeypatch.setattr(module, "train_step", counting(module.train_step))
+    return calls
+
+
+SCHEDULED = "  warmup_step: 2\n  update_step: 2\n  update_times: 1\n"
+
+
+@pytest.mark.parametrize(
+    "train_type,name,key,value",
+    [
+        ("dynamic_weight", "loss", "temperature", "nan"),
+        ("dynamic_select", "tsds", "sigma", "nan"),
+        ("dynamic_select", "tsds", "c", "nan"),
+        ("dynamic_mix", "doremi", "eta", "nan"),
+        ("dynamic_mix", "odm", "eps_min", "nan"),
+        ("dynamic_mix", "odm", "reward_scale", "nan"),
+        ("dynamic_mix", "odm", "clip_threshold", "nan"),
+        ("dynamic_select", "less", "projection_seed", "-1"),
+    ],
+)
+def test_out_of_range_component_value_exits_with_bad_params_before_any_step(tmp_path, capsys, train_steps, train_type, name, key, value):
+    dataflex = f"  train_type: {train_type}\n  component_name: {name}\n{SCHEDULED}  component_params:\n    {key}: {value}\n"
+    config = write_config(tmp_path, dataflex=dataflex)
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == BadParams.exit_code
+    assert len(err.splitlines()) == 1 and err.startswith(f"BadParams: {key} must ") and err.rstrip().endswith(value)
+    assert train_steps == []
+
+
+@pytest.mark.parametrize("name,sim", [("odm", "  losses:\n    - []\n"), ("doremi", "  lambdas:\n    - []\n")])
+def test_mix_sim_with_an_empty_first_row_exits_with_bad_simplex(tmp_path, capsys, name, sim):
+    config = write_config(tmp_path, dataflex=f"  component_name: {name}\n", mix_sim=sim)
+    code, err = run_cli(capsys, "mix-sim", config, str(tmp_path / "traj.jsonl"))
+    assert code == BadSimplex.exit_code == 7
+    assert err.splitlines() == ["BadSimplex: uniform weights need at least one domain, got 0"]
+
+
+@pytest.mark.parametrize("command", ["train", "score"])
+def test_near_k_above_the_validation_size_exits_with_k_too_large_before_any_step(tmp_path, capsys, train_steps, command):
+    config = write_config(tmp_path, dataflex=NEAR + "  component_params:\n    k: 11\n")
+    out = tmp_path / "out"
+    code, err = run_cli(capsys, command, config, *(["--out-dir", str(out)] if command == "train" else [str(out)]))
+    assert code == KTooLarge.exit_code == 17
+    assert err.splitlines() == ["KTooLarge: k=11 outside [1, 10]"]
+    assert train_steps == []

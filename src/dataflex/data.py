@@ -73,14 +73,14 @@ class SyntheticParams:
     ``MAX_SYNTHETIC_TOKENS`` tokens.
     """
 
-    num_samples: int = 1000
+    num_samples: int = bounded(1000, ge=1)
     num_domains: int = bounded(3, ge=1)
     seed: Optional[int] = bounded(None, ge=0)
     proportions: Optional[list[float]] = None
     noise_domains: Optional[list[int]] = None
     mean_length: int = bounded(12, ge=2)
-    val_size: Optional[int] = None
-    val_mode: str = "in_distribution"
+    val_size: Optional[int] = bounded(None, ge=1)
+    val_mode: str = bounded("in_distribution", choices=("in_distribution", "single_domain", "skewed"))
     val_domain: Optional[int] = None
     val_weights: Optional[list[float]] = None
     val_seed: Optional[int] = bounded(None, ge=0)

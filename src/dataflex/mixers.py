@@ -6,8 +6,10 @@ static mixture.
 
 ODM (arXiv:2312.02406) and DoReMi (arXiv:2305.10429) both turn each domain's
 mean batch loss since the last point into a new mixture, so both mixers
-keep a ``LossWindow``. The pipeline's two stages are runs of the one step
-engine, ``trainers._Run``, with a plain ``Mixer`` and a ``DoremiProxyMixer``.
+keep a ``LossWindow`` and train through ``LossWindow.train``, which fills it
+from the training step's own forward pass. The pipeline's two stages are
+runs of the one step engine, ``trainers._Run``: the reference stage with a
+plain ``Component``, the proxy stage with a ``DoremiProxyMixer``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class DoremiParams:
     target's hidden width (at least 2).
     """
 
-    eta: float = bounded(0.1, gt=0.0)
+    eta: float = bounded(0.1, gt=0.0, lt=math.inf)
     epsilon: float = bounded(0.01, ge=0.0, lt=1.0)
     clip_excess: bool = True
     average_weights: bool = False
@@ -123,7 +125,8 @@ def doremi_update(alpha: MixtureWeights, lam: np.ndarray, params: DoremiParams) 
         raise LengthMismatch(f"lambda has shape {lam.shape}, expected ({k},)")
     if not np.all(np.isfinite(lam)):
         raise NonFinite("lambda contains non-finite entries")
-    u = alpha.weights * np.exp(params.eta * lam)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
+        u = alpha.weights * np.exp(params.eta * lam)
     # Exactly-rounded sum keeps the update bit-for-bit permutation equivariant.
     total = math.fsum(u)
     if not np.isfinite(total) or total <= 0.0:
@@ -167,7 +170,8 @@ def odm_update(state: OdmState, observed_domain_loss: np.ndarray, params: OdmPar
     reward = np.maximum(ema[observed], params.clip_threshold) / params.reward_scale
     reward_hat[observed] = reward / state.policy.weights[observed]
 
-    raw = state.raw_weights * np.exp(params.eps_min * reward_hat / k)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
+        raw = state.raw_weights * np.exp(params.eps_min * reward_hat / k)
     total = math.fsum(raw)
     if not np.all(np.isfinite(raw)) or total <= 0.0:
         raise NonFinite("raw bandit weights overflowed")
@@ -228,6 +232,20 @@ class LossWindow:
         self.count[:] = 0
         return means
 
+    def train(self, run, batch):
+        """Train ``run``'s model on ``batch``, adding the step's own per-sample losses to the window.
+
+        The losses are those of ``train_step``'s forward pass, equal to
+        ``batch_losses(run.model, batch)``; the step's weights are all ones.
+        Returns (model, opt, train loss).
+        """
+
+        def observe(losses):
+            self.add(batch, losses)
+            return np.ones(len(batch))
+
+        return train_step(run.model, run.opt, batch, observe)
+
 
 class Component:
     """The hooks through which a run of the step engine (``trainers._Run``) calls its component.
@@ -284,27 +302,23 @@ class RandomMixer(Mixer):
 class OdmMixer(Mixer):
     """Exp3 over domains, rewarded by each domain's mean batch loss since the last point.
 
-    ``start`` opens the loss window. Unlike the DoReMi proxy, ``step`` still
-    forwards the batch once before ``train_step`` does: a traced ODM run is
-    the one that exercises the benchmark's ``model.batch_losses`` span
-    (ROADMAP item 9).
+    ``start`` builds the bandit from the run's starting policy, which no
+    point has moved yet, and opens the loss window; each step trains through
+    ``LossWindow.train``, so the batch is forwarded once.
     """
 
     def __init__(self, params: OdmParams):
         self.params = params
-        self.state = None
 
     def start(self, run):
         super().start(run)
+        self.state = odm_init(run.policy, self.params)
         self.window = LossWindow(run.corpus.num_domains)
 
     def step(self, run, batch, step):
-        self.window.add(batch, batch_losses(run.model, batch))
-        return super().step(run, batch, step)
+        return self.window.train(run, batch)
 
     def update(self, policy, rng):
-        if self.state is None:
-            self.state = odm_init(policy, self.params)
         self.state = odm_update(self.state, self.window.take(), self.params)
         rewards = np.maximum(self.state.ema_loss, self.params.clip_threshold) / self.params.reward_scale
         return self.state.policy, {"rewards": [float(r) for r in rewards]}
@@ -313,30 +327,26 @@ class OdmMixer(Mixer):
 class DoremiProxyMixer(Mixer):
     """The proxy stage of DoReMi, from uniform weights.
 
-    At each step the proxy's and the frozen reference's losses on the batch
-    go into two windows; at each point the per-domain excess of their means
-    (clipped at zero unless ``clip_excess`` is false) drives
-    ``doremi_update``. The proxy's losses are those of its own training
-    step's forward pass, which ``train_step`` hands to ``observe``; the
-    reference needs a forward pass of its own.
+    ``start`` sets the run's policy to uniform over the corpus's domains and
+    opens two loss windows. At each step the frozen reference's losses on
+    the batch (a forward pass of its own) go into one, and the proxy trains
+    through ``LossWindow.train`` on the other. At each point the per-domain
+    excess of their means (clipped at zero unless ``clip_excess`` is false)
+    drives ``doremi_update``.
     """
 
-    def __init__(self, reference: ModelState, params: DoremiParams, k: int):
-        self.reference, self.params, self.k = reference, params, k
-        self.proxy_window, self.ref_window = LossWindow(k), LossWindow(k)
+    def __init__(self, reference: ModelState, params: DoremiParams):
+        self.reference, self.params = reference, params
 
     def start(self, run):
         super().start(run)
-        run.policy = MixtureWeights.uniform(self.k)
+        k = run.corpus.num_domains
+        run.policy = MixtureWeights.uniform(k)
+        self.proxy_window, self.ref_window = LossWindow(k), LossWindow(k)
 
     def step(self, run, batch, step):
         self.ref_window.add(batch, batch_losses(self.reference, batch))
-
-        def observe(losses):
-            self.proxy_window.add(batch, losses)
-            return np.ones(len(batch))
-
-        return train_step(run.model, run.opt, batch, observe)
+        return self.proxy_window.train(run, batch)
 
     def update(self, policy, rng):
         lam = excess_loss(self.proxy_window.take(), self.ref_window.take(), clip=self.params.clip_excess)
@@ -355,14 +365,14 @@ def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, params: Optional[DoremiP
 
     Both stages are runs of the one step engine, ``trainers._Run``, without
     evals, on a narrower hidden layer than the target model by default
-    (``proxy_hidden_dim``). The reference stage is a plain ``Mixer`` run
-    with no update in its schedule: it trains ``ref_steps`` steps on the
-    initial mixture and fires at no point. The proxy stage is a
-    ``DoremiProxyMixer`` run: it fires at the points of ``invocation_steps``
-    (under the rule written there) and stops at the last one, so
-    ``update_times`` exponentiated-gradient updates shape its sampling. The
-    final (or, with ``average_weights``, time-averaged) vector is returned for
-    use as a static mixture, with the proxy's trajectory records.
+    (``proxy_hidden_dim``). The reference stage is a plain ``Component``
+    run: it trains ``ref_steps`` steps on the initial mixture and has no
+    points. The proxy stage is a ``DoremiProxyMixer`` run: it fires at the
+    points of ``invocation_steps`` (under the rule written there) and stops
+    at the last one, so ``update_times`` exponentiated-gradient updates shape
+    its sampling. The final (or, with ``average_weights``, time-averaged)
+    vector is returned for use as a static mixture, with the proxy's
+    trajectory records.
 
     ``params`` are the parsed ``DoremiParams``, the same object that drives
     every update; by default they are parsed from ``cfg.component_params``.
@@ -379,13 +389,10 @@ def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, params: Optional[DoremiP
     stage = replace(cfg, model_cfg=replace(cfg.model_cfg, hidden_dim=hidden))
 
     # Seed children 8 and 9 (init, sampling) are the reference's, 10 and 11
-    # the proxy's; the target run uses the low ones. The reference's schedule
-    # has no updates, so it fires at no point.
-    ref_stage = replace(stage, schedule=replace(schedule, update_times=0))
-    ref = _Run(ref_stage, corpus, None, Mixer(), seed_child=8)
+    # the proxy's; the target run uses the low ones.
+    ref = _Run(stage, corpus, None, Component(), seed_child=8)
     ref.drive(ref_steps)
-    proxy_mixer = DoremiProxyMixer(ref.model, params, corpus.num_domains)
-    proxy = _Run(stage, corpus, None, proxy_mixer, seed_child=10)
+    proxy = _Run(stage, corpus, None, DoremiProxyMixer(ref.model, params), seed_child=10)
     proxy.drive(max(proxy.points, default=0))  # later steps would feed no update
 
     trajectory = proxy.result.weight_trajectory

@@ -89,7 +89,9 @@ class TsdsParams:
 
     max_K: int = bounded(5000, ge=1)
     kde_K: int = bounded(1000, ge=1)
-    sigma: float = bounded(0.75, gt=0.0)
+    # The square root of the least positive float: below it sigma**2 underflows
+    # to 0, and score_tsds divides by 2 * sigma**2.
+    sigma: float = bounded(0.75, gt=np.sqrt(np.finfo(float).smallest_subnormal))
     tradeoff_alpha: float = bounded(0.6, ge=0.0, le=1.0)
     C: float = bounded(5.0, gt=0.0)
 

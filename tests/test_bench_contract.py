@@ -37,8 +37,13 @@ RUNS = {
         {"ratio": 0.5, "projection_dim": 16},
         ["selectors.score_influence", "selectors.select", "model.state_digest"],
     ),
-    "mix_doremi": ("dynamic_mix", "doremi", {"ref_steps": 3}, ["mixers.run_doremi_pipeline", "mixers.doremi_update"]),
-    "mix_odm": ("dynamic_mix", "odm", {}, ["model.batch_losses"]),
+    "mix_doremi": (
+        "dynamic_mix",
+        "doremi",
+        {"ref_steps": 3},
+        ["mixers.run_doremi_pipeline", "mixers.doremi_update", "model.batch_losses"],
+    ),
+    "mix_odm": ("dynamic_mix", "odm", {}, []),
     "weight_softmax": ("dynamic_weight", "loss", {"strategy": "softmax"}, ["weighters.apply", "weighters.compute_weights"]),
 }
 

@@ -36,7 +36,7 @@ TARGETS = {
 #: choice that is taken and one that is not.
 ENDPOINTS = {
     "mixer doremi": {
-        "eta": [(0.0, False)],
+        "eta": [(0.0, False), (math.inf, False)],
         "epsilon": [(0.0, True), (1.0, False)],
         "ref_steps": [(0, True), (-1, False)],
         "proxy_hidden_dim": [(1, True), (0, False)],
@@ -61,7 +61,7 @@ ENDPOINTS = {
     "selector tsds": {
         "max_k": [(1, True), (0, False)],
         "kde_k": [(1, True), (0, False)],
-        "sigma": [(0.0, False)],
+        "sigma": [(0.0, False), (1e-300, False), (1e-160, True)],
         "tradeoff_alpha": [(0.0, True), (1.0, True)],
         "c": [(0.0, False)],
     },
@@ -71,9 +71,12 @@ ENDPOINTS = {
     },
     "select mode": {"ratio": [(0.0, False), (1.0, True)]},
     "data.synthetic": {
+        "num_samples": [(1, True), (0, False)],
         "num_domains": [(1, True), (0, False)],
         "seed": [(0, True), (-1, False)],
         "mean_length": [(2, True), (1, False)],
+        "val_size": [(1, True), (0, False)],
+        "val_mode": [("single_domain", True), ("bogus", False)],
         "val_seed": [(0, True), (-1, False)],
     },
     "config": {

@@ -10,9 +10,9 @@ import warnings
 import pytest
 
 from dataflex import MixtureWeights, build_domain_specs, empirical_proportions, generate_corpus, make_validation
-from dataflex import mixers, weighters
+from dataflex import cli, mixers, weighters
 from dataflex.cli import main
-from dataflex.errors import BadParams, BadProportions, BadSimplex, KTooLarge, LengthMismatch, NonFiniteMetric, ParseError
+from dataflex.errors import BadParams, BadProportions, BadSimplex, KTooLarge, LengthMismatch, NonFinite, NonFiniteMetric, ParseError
 from dataflex.fileio import write_corpus
 
 BASE = {
@@ -452,3 +452,62 @@ def test_near_k_above_the_validation_size_exits_with_k_too_large_before_any_step
     assert code == KTooLarge.exit_code == 17
     assert err.splitlines() == ["KTooLarge: k=11 outside [1, 10]"]
     assert train_steps == []
+
+
+TSDS = "  train_type: dynamic_select\n  component_name: tsds\n" + SCHEDULED
+
+
+@pytest.mark.parametrize("command", ["train", "score"])
+def test_tsds_sigma_whose_square_underflows_exits_with_bad_params_before_any_step(tmp_path, capsys, train_steps, command):
+    config = write_config(tmp_path, dataflex=TSDS + "  component_params:\n    sigma: 1e-300\n")
+    out = tmp_path / "out"
+    code, err = run_cli(capsys, command, config, *(["--out-dir", str(out)] if command == "train" else [str(out)]))
+    assert code == BadParams.exit_code
+    assert len(err.splitlines()) == 1 and err.startswith("BadParams: sigma must ") and err.rstrip().endswith("1e-300")
+    assert train_steps == []
+
+
+@pytest.mark.parametrize(
+    "name,params,message",
+    [
+        ("odm", "eps_min: 0.6", "BadParams: K*eps_min = 1.2 exceeds 1"),
+        ("doremi", "eta: inf", "BadParams: eta must lie in (0, inf), got inf"),
+    ],
+)
+def test_mixer_setting_that_cannot_run_exits_with_bad_params_before_any_step(tmp_path, capsys, train_steps, name, params, message):
+    config = write_config(tmp_path, dataflex=f"  train_type: dynamic_mix\n  component_name: {name}\n{SCHEDULED}  component_params:\n    {params}\n")
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == BadParams.exit_code
+    assert err.splitlines() == [message]
+    assert train_steps == []
+
+
+@pytest.mark.parametrize(
+    "name,params,message",
+    [
+        ("doremi", "eta: 1e308", "NonFinite: exponentiated weights sum to inf"),
+        ("odm", "clip_threshold: 1e308", "NonFinite: raw bandit weights overflowed"),
+        ("odm", "clip_threshold: inf", "NonFinite: raw bandit weights overflowed"),
+    ],
+)
+def test_mixer_update_that_overflows_exits_with_one_non_finite_line(tmp_path, capsys, name, params, message):
+    config = write_config(tmp_path, dataflex=f"  train_type: dynamic_mix\n  component_name: {name}\n{SCHEDULED}  component_params:\n    {params}\n")
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == NonFinite.exit_code == 19
+    assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("num_samples", "-5", "num_samples must be >= 1, got -5"),
+        ("val_size", "-3", "val_size must be >= 1, got -3"),
+        ("val_mode", "bogus", "val_mode must be one of ['in_distribution', 'single_domain', 'skewed'], got 'bogus'"),
+    ],
+)
+def test_synthetic_size_or_mode_out_of_range_exits_with_bad_params_at_parse(tmp_path, capsys, monkeypatch, key, value, message):
+    monkeypatch.setattr(cli, "generate_corpus", lambda *args: pytest.fail("corpus generated before the check"))
+    config = write_config(tmp_path, data=synthetic(**{key: value}))
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == BadParams.exit_code
+    assert err.splitlines() == [f"BadParams: {message}"]

@@ -223,7 +223,7 @@ class Sample:
         t = np.asarray(self.token_ids, dtype=np.int64)
         if t.ndim != 1 or t.size < 1:
             raise ValueError(f"sample {self.id}: token_ids must be a non-empty 1-D sequence")
-        if np.any(t < 0):
+        if t.min() < 0:
             raise ValueError(f"sample {self.id}: negative token ids")
         self.token_ids = _read_only(t)
 

@@ -14,8 +14,15 @@ the one next-token pass (loss, gradient and top-1 accuracy all read it),
 ``_loss_and_cache`` and ``_backward`` the two halves of one per-sample
 gradient (``train_step`` can hand the losses of the first half to a
 weighting function before it runs the second), and ``_adam_moments`` the
-one bias-corrected Adam update (``train_step`` applies it,
-``adam_precondition`` reports it).
+one bias-corrected Adam update (``train_step`` applies it and builds the
+next ``OptimizerState`` from its moments; ``adam_precondition`` reports its
+direction and drops them).
+
+The gradient-space helpers can write into a caller's buffer:
+``per_sample_gradient`` and ``adam_precondition`` take ``out=``, and
+``out`` may be the gradient itself, so a caller that fills many rows (the
+influence scorer) allocates no parameter-sized array per row beyond Adam's
+own moments.
 
 All functions here are pure over immutable state: ``ModelState`` and
 ``OptimizerState`` hold read-only float64 copies of their arrays, and
@@ -36,7 +43,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .core import ModelCfg, OptimCfg, Sample, _read_only
-from .errors import ColdOptimizer, LengthMismatch, NegativeWeight, NotAdam, TooShort
+from .errors import ColdOptimizer, LengthMismatch, NegativeWeight, NonFinite, NotAdam, TooShort
 
 
 @lru_cache(maxsize=None)
@@ -198,9 +205,14 @@ def _backward(cache):
     return d_emb, d_w1, d_b1, d_w2, d_b2
 
 
-def per_sample_gradient(model: ModelState, s: Sample) -> np.ndarray:
-    """Exact gradient of ``per_sample_loss`` w.r.t. the flat parameter vector."""
-    return np.concatenate([block.ravel() for block in _backward(_loss_and_cache(model, s)[1])])
+def per_sample_gradient(model: ModelState, s: Sample, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Exact gradient of ``per_sample_loss`` w.r.t. the flat parameter vector.
+
+    The five gradient blocks are concatenated into ``out`` (a contiguous
+    float64 vector of the parameter count), or into a new array when it is
+    None; the return value is that array.
+    """
+    return np.concatenate([block.ravel() for block in _backward(_loss_and_cache(model, s)[1])], out=out)
 
 
 def embed(model: ModelState, s: Sample) -> np.ndarray:
@@ -218,6 +230,8 @@ def _checked_weights(weights, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise LengthMismatch(f"got {w.size} weights for a batch of {n}")
+    if not np.all(np.isfinite(w)):
+        raise NonFinite(f"non-finite weights: {w[~np.isfinite(w)]}")
     if np.any(w < 0.0):
         raise NegativeWeight(f"negative weights: {w[w < 0.0]}")
     return w
@@ -232,7 +246,9 @@ def train_step(
     """One optimizer step on the gradient of (sum_i w_i * loss_i) / |batch|.
 
     ``weights`` is one weight per sample, or a function that returns them
-    from the batch's per-sample losses under ``model``. Fixed weights are
+    from the batch's per-sample losses under ``model``. Weights must be
+    finite (else ``NonFinite``) and non-negative (else ``NegativeWeight``),
+    one per sample (else ``LengthMismatch``). Fixed weights are
     checked before any forward pass, and each sample's forward and backward
     pass then run together, so one forward cache is held at a time. A
     function is called once, with the losses of this step's own forward
@@ -268,34 +284,56 @@ def train_step(
     lr = opt.hyper.learning_rate
     if opt.kind == "sgd":
         return sgd_step(model, lr, grad), dataclasses.replace(opt, t=opt.t + 1), float(wloss)
-    new_opt, m_hat, denom = _adam_moments(grad, opt)
-    return ModelState(model.arch, model.params - lr * m_hat / denom), new_opt, float(wloss)
+    m, v, m_hat, denom = _adam_moments(grad, opt, out=grad)
+    # The model first: OptimizerState copies m and v once the step's temporaries are freed.
+    new_model = ModelState(model.arch, model.params - lr * m_hat / denom)
+    return new_model, OptimizerState("adam", opt.hyper, m, v, opt.t + 1), float(wloss)
 
 
-def _adam_moments(grad: np.ndarray, opt: OptimizerState):
-    """Adam's state after ``grad`` at step t+1, with its bias-corrected first
-    moment and denominator: the step is ``-lr * m_hat / denom``.
+def _adam_moments(grad: np.ndarray, opt: OptimizerState, out: np.ndarray):
+    """Adam's moments after ``grad`` at step t+1: ``(m, v, m_hat, denom)``.
+
+    ``m_hat`` is the bias-corrected first moment and the step is
+    ``-lr * m_hat / denom``. Element by element the operations are
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
+    ``denom = sqrt(v/(1-b2^t)) + eps`` and ``m_hat = m/(1-b1^t)``, in that
+    order; each is evaluated in place in a fresh ``m``, ``v`` or ``denom``
+    array, which gives the same bits as the out-of-place expressions.
+    ``m_hat`` is written into ``out``, which may be ``grad``: ``grad`` is
+    last read before that write. ``opt`` is not touched.
     """
     cfg = opt.hyper
     t = opt.t + 1
-    m = cfg.beta1 * opt.m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * opt.v + (1.0 - cfg.beta2) * grad * grad
-    denom = np.sqrt(v / (1.0 - cfg.beta2 ** t)) + cfg.eps
-    return OptimizerState("adam", cfg, m, v, t), m / (1.0 - cfg.beta1 ** t), denom
+    m = cfg.beta1 * opt.m
+    scratch = (1.0 - cfg.beta1) * grad
+    m += scratch
+    v = cfg.beta2 * opt.v
+    np.multiply(grad, 1.0 - cfg.beta2, out=scratch)
+    scratch *= grad
+    v += scratch
+    denom = np.divide(v, 1.0 - cfg.beta2 ** t, out=scratch)
+    np.sqrt(denom, out=denom)
+    denom += cfg.eps
+    return m, v, np.divide(m, 1.0 - cfg.beta1 ** t, out=out), denom
 
 
-def adam_precondition(grad: np.ndarray, opt: OptimizerState) -> np.ndarray:
+def adam_precondition(grad: np.ndarray, opt: OptimizerState, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Bias-corrected Adam direction for a gradient, using the current (m, v).
 
-    Computes the direction Adam *would* move in if this gradient were applied
-    at step t+1, without touching optimizer state.
+    Computes the direction ``m_hat / denom`` Adam *would* move in if this
+    gradient were applied at step t+1, without touching optimizer state. The
+    direction is written into ``out`` (a new array when it is None), which
+    may be ``grad`` itself, and returned; the moments are dropped, so no
+    ``OptimizerState`` is built.
     """
     if opt.kind != "adam":
         raise NotAdam(f"adam preconditioning requested on a {opt.kind!r} optimizer")
     if opt.t < 1:
         raise ColdOptimizer("adam preconditioning needs at least one completed optimizer step")
-    _, m_hat, denom = _adam_moments(grad, opt)
-    return m_hat / denom
+    if out is None:
+        out = np.empty(np.shape(grad))
+    _, _, m_hat, denom = _adam_moments(grad, opt, out)
+    return np.divide(m_hat, denom, out=m_hat)
 
 
 def snapshot(model: ModelState, opt: OptimizerState) -> Checkpoint:

@@ -122,7 +122,9 @@ class SignProjection:
     The sign matrix is drawn once per (seed, dim_in, dim_out) and cached
     bit-packed (``_sign_blocks``); each call unpacks one block of rows at a
     time to ±1.0 and accumulates its product in block order, so projecting
-    is a deterministic function of (seed, dim_in, dim_out).
+    is a deterministic function of (seed, dim_in, dim_out). A call holds
+    one ``(_SIGN_BLOCK, dim_out)`` float buffer and refills it in place for
+    every block, so it allocates no float sign block per block.
     """
 
     def __init__(self, dim_out: int, dim_in: int, seed: int):
@@ -136,10 +138,14 @@ class SignProjection:
             raise ValueError(f"expected {self.dim_in} columns, got {mat.shape[1]}")
         out = np.zeros((mat.shape[0], self.dim_out))
         blocks = _sign_blocks(self.seed, self.dim_in, self.dim_out)
+        buf = np.empty((min(_SIGN_BLOCK, self.dim_in), self.dim_out))
         for start, packed in zip(range(0, self.dim_in, _SIGN_BLOCK), blocks):
-            signs = np.unpackbits(packed, axis=1, count=self.dim_out).astype(np.float64) * 2.0 - 1.0
+            signs = buf[: packed.shape[0]]
+            np.multiply(np.unpackbits(packed, axis=1, count=self.dim_out), 2.0, out=signs)
+            signs -= 1.0
             out += mat[:, start:start + packed.shape[0]] @ signs
-        return out / np.sqrt(self.dim_out)
+        out /= np.sqrt(self.dim_out)
+        return out
 
 
 def _pool_ids(pool: Sequence[Sample]) -> np.ndarray:
@@ -174,10 +180,15 @@ def score_delta_loss(
 def _fill_gradients(
     rows: np.ndarray, model: ModelState, samples: Sequence[Sample], opt: OptimizerState, preconditioning: str
 ) -> np.ndarray:
-    """Write each sample's (optionally Adam-preconditioned) gradient into a row of ``rows``."""
-    for i, s in enumerate(samples):
-        g = per_sample_gradient(model, s)
-        rows[i] = adam_precondition(g, opt) if preconditioning == "adam" else g
+    """Write each sample's (optionally Adam-preconditioned) gradient into a row of ``rows``.
+
+    The gradient is concatenated straight into its row and preconditioned
+    there in place, so no row is copied.
+    """
+    for row, s in zip(rows, samples):
+        per_sample_gradient(model, s, out=row)
+        if preconditioning == "adam":
+            adam_precondition(row, opt, out=row)
     return rows
 
 
@@ -192,6 +203,10 @@ def _gradient_rows(
 
     Unsketched rows are written straight into the result. Sketched ones go
     through one ``(_GRAD_CHUNK, P)`` buffer, projected a chunk at a time.
+    Either way each gradient is written into its row and preconditioned in
+    place (``_fill_gradients``). The chunks are not stacked into one
+    product: BLAS may round a row differently when the product has a
+    different number of rows, so the chunk size is part of the scores.
     """
     n = len(samples)
     if proj is None:

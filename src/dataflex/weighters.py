@@ -40,7 +40,11 @@ class WeightStrategy:
 
 
 def compute_weights(losses: Sequence[float], strat: WeightStrategy) -> np.ndarray:
-    """Map non-negative batch losses to mean-one per-sample weights."""
+    """Map non-negative batch losses to mean-one per-sample weights.
+
+    Raises ``NonFinite`` when a softmax's weights are not finite: a
+    temperature so small that ``loss / temperature`` overflows.
+    """
     losses = np.asarray(losses, dtype=np.float64)
     if losses.size == 0:
         raise ValueError("losses must be non-empty")
@@ -56,9 +60,13 @@ def compute_weights(losses: Sequence[float], strat: WeightStrategy) -> np.ndarra
         if mean == 0.0:
             return np.ones_like(losses)
         return losses / mean
-    scaled = losses / strat.temperature
-    z = np.exp(scaled - scaled.max())
-    return losses.size * z / z.sum()
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        scaled = losses / strat.temperature
+        z = np.exp(scaled - scaled.max())
+        weights = losses.size * z / z.sum()
+    if not np.all(np.isfinite(weights)):
+        raise NonFinite(f"softmax weights are not finite at temperature {strat.temperature!r}")
+    return weights
 
 
 def apply(

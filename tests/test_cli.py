@@ -511,3 +511,11 @@ def test_synthetic_size_or_mode_out_of_range_exits_with_bad_params_at_parse(tmp_
     code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
     assert code == BadParams.exit_code
     assert err.splitlines() == [f"BadParams: {message}"]
+
+
+def test_softmax_temperature_that_overflows_the_weights_exits_with_non_finite(tmp_path, capsys):
+    dataflex = f"  train_type: dynamic_weight\n  component_name: loss\n{SCHEDULED}  component_params:\n    temperature: 1e-310\n"
+    config = write_config(tmp_path, dataflex=dataflex)
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == NonFinite.exit_code == 19
+    assert err.splitlines() == ["NonFinite: softmax weights are not finite at temperature 1e-310"]

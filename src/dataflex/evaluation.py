@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Corpus
-from .model import ModelState, per_sample_loss
+from .model import ModelState, batch_losses
 
 
 @dataclass(frozen=True)
@@ -21,12 +21,15 @@ class EvalResult:
 
 
 def eval_per_domain(model: ModelState, val: Corpus) -> EvalResult:
-    """Average per-token cross-entropy, per domain and overall (no exponentiation)."""
+    """Average per-token cross-entropy, per domain and overall (no exponentiation).
+
+    The per-sample losses come from one ``batch_losses`` table over ``val``.
+    """
     loss_sum = np.zeros(val.num_domains)
     tokens = np.zeros(val.num_domains, dtype=np.int64)
-    for s in val.samples:
+    for s, loss in zip(val.samples, batch_losses(model, val.samples)):
         n_targets = len(s) - 1
-        loss_sum[s.domain_id] += per_sample_loss(model, s) * n_targets
+        loss_sum[s.domain_id] += loss * n_targets
         tokens[s.domain_id] += n_targets
     present = np.nonzero(tokens > 0)[0]
     if present.size == 0:

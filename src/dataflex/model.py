@@ -9,11 +9,23 @@ preconditioning) are trivial.
 Parameter layout: [embedding V*E | hidden weights E*H | hidden bias H |
 output weights H*V | output bias V], all float64.
 
-Each rule is written once: ``_hidden`` is the one tanh layer, ``_forward``
-the one next-token pass (loss, gradient and top-1 accuracy all read it),
-``_loss_and_cache`` and ``_backward`` the two halves of one per-sample
-gradient (``train_step`` can hand the losses of the first half to a
-weighting function before it runs the second), and ``_adam_moments`` the
+Each rule is written once: ``_hidden`` is the one tanh layer and
+``token_table`` the one forward rule. The model predicts each next token
+from the current token alone, so every per-position hidden row,
+log-probability row, probability row and argmax is a function of the input
+token. A table computes them once per distinct input token of the samples
+a call forwards (a batch, a validation set, a chunk of a pool), and
+``_forward`` gathers a sample's positions from it: losses, gradients, the
+top-1 metric and evaluation all read one. This is bitwise the per-position
+pass because BLAS gives a product row the same bits in any product of two
+or more rows (a one-position sample keeps its own one-row product, which
+BLAS computes differently). That holds for OpenBLAS at every shape the
+tests and the benchmark use, not at every shape: with an inner dimension of
+16 or more and some output widths (10, 50 or 300 columns, say) a row's
+last bits can depend on the row count, and values then move by rounding.
+``_backward`` turns one sample's table rows into its gradient blocks
+(``train_step`` can hand the losses of the forward pass to a weighting
+function before it runs the backward ones), and ``_adam_moments`` is the
 one bias-corrected Adam update (``train_step`` applies it and builds the
 next ``OptimizerState`` from its moments; ``adam_precondition`` reports its
 direction and drops them).
@@ -25,7 +37,8 @@ influence scorer) allocates no parameter-sized array per row beyond Adam's
 own moments.
 
 All functions here are pure over immutable state: ``ModelState`` and
-``OptimizerState`` hold read-only float64 copies of their arrays, and
+``OptimizerState`` hold read-only float64 arrays (copies, except the
+fresh ones an update hands over with ``owned=True``), and
 ``train_step`` returns new (model, optimizer) values instead of mutating, so
 a (model, optimizer) pair is its own checkpoint and nothing deep-copies it.
 Per-sample accumulation runs in batch order so identical inputs reproduce
@@ -36,7 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
@@ -74,16 +87,24 @@ def _blocks(arch: ModelCfg, flat: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class ModelState:
+    """An architecture and its flat parameter vector, a read-only float64 copy.
+
+    ``owned=True`` hands a fresh float64 array over instead: it is marked
+    read-only in place, not copied. Only a caller that has just built the
+    array and keeps no other reference to it passes it.
+    """
+
     arch: ModelCfg
     params: np.ndarray
+    owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, owned):
         p = np.asarray(self.params, dtype=np.float64)
         if p.ndim != 1 or p.size != param_count(self.arch):
             raise ValueError(f"params length {p.size} does not match arch {self.arch}")
         if not np.all(np.isfinite(p)):
             raise ValueError("model parameters contain non-finite entries")
-        object.__setattr__(self, "params", _read_only(p.copy()))
+        object.__setattr__(self, "params", _read_only(p if owned else p.copy()))
 
     def unpack(self):
         """Views (emb, w1, b1, w2, b2) into the flat parameter vector."""
@@ -92,19 +113,25 @@ class ModelState:
 
 @dataclass(frozen=True, eq=False)
 class OptimizerState:
-    """Optimizer kind, settings, step count and Adam's moments (None for SGD)."""
+    """Optimizer kind, settings, step count and Adam's moments (None for SGD).
+
+    The moments are read-only float64 copies; ``owned=True`` takes them over
+    as ``ModelState`` takes its parameters.
+    """
 
     kind: str
     hyper: OptimCfg
     m: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
     t: int = 0
+    owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, owned):
         for name in ("m", "v"):
             a = getattr(self, name)
             if a is not None:
-                object.__setattr__(self, name, _read_only(np.array(a, dtype=np.float64)))
+                a = np.asarray(a, dtype=np.float64) if owned else np.array(a, dtype=np.float64)
+                object.__setattr__(self, name, _read_only(a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,47 +176,108 @@ def _hidden(params, tokens: np.ndarray):
     return x, np.tanh(x @ w1 + b1)
 
 
-def _forward(model: ModelState, s: Sample):
-    """The next-token forward pass over positions 0..len-2 of ``s``.
+@dataclass(frozen=True, eq=False)
+class TokenTable:
+    """Per-input-token rows of ``model``'s next-token pass over a set of samples.
 
-    Returns the unpacked parameters, the gathered embedding rows, the hidden
-    activations and the logits, so that the backward pass reuses all four.
+    Row ``r`` holds the hidden activations ``hid``, the log-probabilities
+    ``logp = shifted - log_z``, the probabilities ``probs = exp(logp)`` and
+    the argmax ``top`` of the logits of one input token. ``index`` maps a
+    token to its row for samples of two or more positions, ``single`` for
+    one-position samples; a token the table was not built over maps past the
+    last row, so reading it raises ``IndexError``. Build one with
+    ``token_table``.
     """
-    _check_sample(model, s)
-    params = model.unpack()
-    x, hid = _hidden(params, s.token_ids[:-1])
+
+    model: ModelState
+    index: np.ndarray
+    single: np.ndarray
+    hid: np.ndarray
+    logp: np.ndarray
+    probs: np.ndarray
+    top: np.ndarray
+
+    def rows(self, inputs: np.ndarray) -> np.ndarray:
+        """The table rows of a sample's input positions."""
+        return (self.single if inputs.size == 1 else self.index)[inputs]
+
+
+_NO_TOKENS = np.empty(0, dtype=np.int64)
+
+
+def _token_rows(params, tokens: np.ndarray):
+    """``(hid, logp, probs, top)`` of ``tokens``, from one product over all of them."""
     *_, w2, b2 = params
-    return params, x, hid, hid @ w2 + b2
+    hid = _hidden(params, tokens)[1]
+    logp = hid @ w2 + b2
+    top = np.argmax(logp, axis=1)
+    logp -= logp.max(axis=1, keepdims=True)  # shifted
+    probs = np.exp(logp)
+    logp -= np.log(probs.sum(axis=1))[:, None]  # shifted - log_z
+    np.exp(logp, out=probs)
+    return hid, logp, probs, top
 
 
-def _cross_entropy(logits: np.ndarray, targets: np.ndarray):
-    """Mean cross-entropy of ``targets``, with the shifted logits and log-partition."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))  # log p = shifted - log_z
-    return float(np.mean(log_z - shifted[np.arange(targets.size), targets])), shifted, log_z
+def token_table(model: ModelState, samples: Sequence[Sample]) -> TokenTable:
+    """The ``TokenTable`` of ``model`` over the input tokens of ``samples``.
+
+    Each sample is checked (``TooShort``, vocabulary). The rows of samples
+    with two or more positions come from one product over their distinct
+    input tokens, padded to two rows when there is one token. BLAS gives a
+    product row the same bits whatever the number of rows, two or more, so
+    these are bitwise the rows of a sample's own per-position product. A
+    one-position sample's own product has one row, which BLAS computes on
+    another path with other bits; so each distinct input token of such
+    samples gets a one-row product of its own.
+    """
+    for s in samples:
+        _check_sample(model, s)
+    multi = np.unique(np.concatenate([s.token_ids[:-1] for s in samples if len(s) > 2] + [_NO_TOKENS]))
+    single = np.unique(np.array([s.token_ids[0] for s in samples if len(s) == 2], dtype=np.int64))
+    params = model.unpack()
+    padded = np.repeat(multi, 2) if multi.size == 1 else multi
+    parts = [_token_rows(params, padded)] + [_token_rows(params, single[i:i + 1]) for i in range(single.size)]
+    n_rows = padded.size + single.size
+    index = np.full(model.arch.vocab_size, n_rows, dtype=np.intp)
+    index[multi] = np.arange(multi.size)
+    single_index = np.full(model.arch.vocab_size, n_rows, dtype=np.intp)
+    single_index[single] = padded.size + np.arange(single.size)
+    columns = parts[0] if len(parts) == 1 else [np.concatenate(column) for column in zip(*parts)]
+    return TokenTable(model, index, single_index, *columns)
 
 
-def per_sample_loss(model: ModelState, s: Sample) -> float:
-    """Mean next-token cross-entropy over positions 1..len-1."""
-    return _cross_entropy(_forward(model, s)[3], s.token_ids[1:])[0]
+def _forward(model: ModelState, s: Sample, table: TokenTable):
+    """The next-token pass over positions 0..len-2 of ``s``, gathered from ``table``.
+
+    Returns the sample's mean loss and the table rows of its input positions.
+    """
+    if table.model is not model:
+        raise ValueError("token table was built for another model")
+    rows = table.rows(s.token_ids[:-1])
+    return float(np.mean(-table.logp[rows, s.token_ids[1:]])), rows
+
+
+def per_sample_loss(model: ModelState, s: Sample, table: Optional[TokenTable] = None) -> float:
+    """Mean next-token cross-entropy over positions 1..len-1.
+
+    Read from ``table``, a ``token_table`` of ``model`` over samples that
+    include ``s``; one over ``[s]`` alone is built when it is None.
+    """
+    return _forward(model, s, token_table(model, [s]) if table is None else table)[0]
 
 
 def batch_losses(model: ModelState, batch: Sequence[Sample]) -> np.ndarray:
-    return np.array([per_sample_loss(model, s) for s in batch])
+    """``per_sample_loss`` of each sample, read from one table over ``batch``."""
+    table = token_table(model, batch)
+    return np.array([per_sample_loss(model, s, table) for s in batch])
 
 
-def _loss_and_cache(model: ModelState, s: Sample):
-    """The forward half of a per-sample gradient: ``(loss, cache)`` for ``_backward``."""
-    params, x, hid, logits = _forward(model, s)
-    targets = s.token_ids[1:]
-    loss, shifted, log_z = _cross_entropy(logits, targets)
-    return loss, (params, s.token_ids[:-1], targets, x, hid, shifted, log_z)
-
-
-def _backward(cache):
-    """The gradient blocks (d_emb, d_w1, d_b1, d_w2, d_b2) of one forward cache."""
-    (emb, w1, _, w2, _), inputs, targets, x, hid, shifted, log_z = cache
-    d_logits = np.exp(shifted - log_z[:, None])  # probabilities
+def _backward(table: TokenTable, tokens: np.ndarray, rows: np.ndarray):
+    """The gradient blocks (d_emb, d_w1, d_b1, d_w2, d_b2) of one sample's pass through ``table``."""
+    emb, w1, _, w2, _ = table.model.unpack()
+    inputs, targets = tokens[:-1], tokens[1:]
+    x, hid = emb[inputs], table.hid[rows]
+    d_logits = table.probs[rows]
     d_logits[np.arange(targets.size), targets] -= 1.0
     d_logits /= targets.size              # gradient of the positional mean
 
@@ -205,14 +293,20 @@ def _backward(cache):
     return d_emb, d_w1, d_b1, d_w2, d_b2
 
 
-def per_sample_gradient(model: ModelState, s: Sample, out: Optional[np.ndarray] = None) -> np.ndarray:
+def per_sample_gradient(
+    model: ModelState, s: Sample, out: Optional[np.ndarray] = None, table: Optional[TokenTable] = None
+) -> np.ndarray:
     """Exact gradient of ``per_sample_loss`` w.r.t. the flat parameter vector.
 
     The five gradient blocks are concatenated into ``out`` (a contiguous
     float64 vector of the parameter count), or into a new array when it is
-    None; the return value is that array.
+    None; the return value is that array. ``table`` is as for
+    ``per_sample_loss``.
     """
-    return np.concatenate([block.ravel() for block in _backward(_loss_and_cache(model, s)[1])], out=out)
+    if table is None:
+        table = token_table(model, [s])
+    rows = _forward(model, s, table)[1]
+    return np.concatenate([block.ravel() for block in _backward(table, s.token_ids, rows)], out=out)
 
 
 def embed(model: ModelState, s: Sample) -> np.ndarray:
@@ -223,7 +317,7 @@ def embed(model: ModelState, s: Sample) -> np.ndarray:
 
 
 def sgd_step(model: ModelState, lr: float, grad: np.ndarray) -> ModelState:
-    return ModelState(model.arch, model.params - lr * grad)
+    return ModelState(model.arch, model.params - lr * grad, owned=True)
 
 
 def _checked_weights(weights, n: int) -> np.ndarray:
@@ -237,6 +331,26 @@ def _checked_weights(weights, n: int) -> np.ndarray:
     return w
 
 
+def _weighted_gradient(model: ModelState, batch: Sequence[Sample], weights) -> tuple:
+    """``(grad, weighted_mean_loss)`` of ``train_step``, from one table over ``batch``."""
+    n = len(batch)
+    w = None if callable(weights) else _checked_weights(weights, n)
+    table = token_table(model, batch)
+    passes = [_forward(model, s, table) for s in batch]
+    if w is None:
+        w = _checked_weights(weights(np.array([loss for loss, _ in passes])), n)
+
+    grad = np.zeros_like(model.params)
+    grad_blocks = _blocks(model.arch, grad)
+    wloss = 0.0
+    for wi, s, (loss_i, rows) in zip(w, batch, passes):
+        for acc, block in zip(grad_blocks, _backward(table, s.token_ids, rows)):
+            acc += wi * block
+        wloss += wi * loss_i
+    grad /= n
+    return grad, float(wloss / n)
+
+
 def train_step(
     model: ModelState,
     opt: OptimizerState,
@@ -248,46 +362,30 @@ def train_step(
     ``weights`` is one weight per sample, or a function that returns them
     from the batch's per-sample losses under ``model``. Weights must be
     finite (else ``NonFinite``) and non-negative (else ``NegativeWeight``),
-    one per sample (else ``LengthMismatch``). Fixed weights are
-    checked before any forward pass, and each sample's forward and backward
-    pass then run together, so one forward cache is held at a time. A
+    one per sample (else ``LengthMismatch``). Fixed weights are checked
+    before the step builds its one ``token_table`` over the batch. A
     function is called once, with the losses of this step's own forward
-    pass (equal to ``batch_losses(model, batch)``), after the whole batch's
-    forward caches are kept and before any gradient is accumulated; a
-    loss-based weighting thus costs no second forward pass. Backward passes
-    accumulate in batch order, so all-ones weights reproduce the unweighted
-    step bitwise, and a function ``f`` the step with fixed weights
-    ``f(batch_losses(model, batch))``.
+    pass (equal to ``batch_losses(model, batch)``), before any gradient is
+    accumulated; a loss-based weighting thus costs no second forward pass.
+    Backward passes accumulate in batch order, so all-ones weights
+    reproduce the unweighted step bitwise, and a function ``f`` the step
+    with fixed weights ``f(batch_losses(model, batch))``. The table is
+    dropped before the optimizer update, and the new states take ownership
+    of the arrays the update builds instead of copying them.
 
     Returns ``(model', opt', weighted_mean_loss)``.
     """
-    n = len(batch)
-    if n == 0:
+    if len(batch) == 0:
         raise LengthMismatch("batch must be non-empty")
-    if callable(weights):
-        passes = [_loss_and_cache(model, s) for s in batch]
-        w = _checked_weights(weights(np.array([loss for loss, _ in passes])), n)
-    else:
-        w = _checked_weights(weights, n)
-        passes = (_loss_and_cache(model, s) for s in batch)
-
-    grad = np.zeros_like(model.params)
-    grad_blocks = _blocks(model.arch, grad)
-    wloss = 0.0
-    for wi, (loss_i, cache) in zip(w, passes):
-        for acc, block in zip(grad_blocks, _backward(cache)):
-            acc += wi * block
-        wloss += wi * loss_i
-    grad /= n
-    wloss /= n
-
+    grad, wloss = _weighted_gradient(model, batch, weights)
     lr = opt.hyper.learning_rate
     if opt.kind == "sgd":
-        return sgd_step(model, lr, grad), dataclasses.replace(opt, t=opt.t + 1), float(wloss)
+        return sgd_step(model, lr, grad), dataclasses.replace(opt, t=opt.t + 1), wloss
     m, v, m_hat, denom = _adam_moments(grad, opt, out=grad)
-    # The model first: OptimizerState copies m and v once the step's temporaries are freed.
-    new_model = ModelState(model.arch, model.params - lr * m_hat / denom)
-    return new_model, OptimizerState("adam", opt.hyper, m, v, opt.t + 1), float(wloss)
+    step = np.multiply(m_hat, lr, out=m_hat)  # lr * m_hat / denom, left to right
+    step /= denom
+    new_model = ModelState(model.arch, model.params - step, owned=True)
+    return new_model, OptimizerState("adam", opt.hyper, m, v, opt.t + 1, owned=True), wloss
 
 
 def _adam_moments(grad: np.ndarray, opt: OptimizerState, out: np.ndarray):

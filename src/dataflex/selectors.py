@@ -31,9 +31,10 @@ from .model import (
     OptimizerState,
     _forward,
     adam_precondition,
+    batch_losses,
     per_sample_gradient,
-    per_sample_loss,
     sgd_step,
+    token_table,
 )
 
 logger = logging.getLogger(__name__)
@@ -156,8 +157,7 @@ def score_loss(model: ModelState, pool: Sequence[Sample]) -> ScoreVector:
     """Score = current per-sample loss; hardest samples rank first."""
     if len(pool) == 0:
         raise ValueError("pool must be non-empty")
-    scores = np.array([per_sample_loss(model, s) for s in pool])
-    return ScoreVector(_pool_ids(pool), scores, "loss")
+    return ScoreVector(_pool_ids(pool), batch_losses(model, pool), "loss")
 
 
 def score_delta_loss(
@@ -171,7 +171,7 @@ def score_delta_loss(
     Positive scores mark samples the model has learned since the reference;
     ``hardest_first`` flips the sign to prioritize un-learned samples.
     """
-    scores = np.array([per_sample_loss(ref_snapshot.model, s) - per_sample_loss(model, s) for s in pool])
+    scores = batch_losses(ref_snapshot.model, pool) - batch_losses(model, pool)
     if hardest_first:
         scores = -scores
     return ScoreVector(_pool_ids(pool), scores, "delta_loss")
@@ -183,12 +183,16 @@ def _fill_gradients(
     """Write each sample's (optionally Adam-preconditioned) gradient into a row of ``rows``.
 
     The gradient is concatenated straight into its row and preconditioned
-    there in place, so no row is copied.
+    there in place, so no row is copied. The samples are read from one
+    ``token_table`` per ``_GRAD_CHUNK`` of them.
     """
-    for row, s in zip(rows, samples):
-        per_sample_gradient(model, s, out=row)
-        if preconditioning == "adam":
-            adam_precondition(row, opt, out=row)
+    for start in range(0, len(samples), _GRAD_CHUNK):
+        chunk = samples[start:start + _GRAD_CHUNK]
+        table = token_table(model, chunk)
+        for row, s in zip(rows[start:start + len(chunk)], chunk):
+            per_sample_gradient(model, s, out=row, table=table)
+            if preconditioning == "adam":
+                adam_precondition(row, opt, out=row)
     return rows
 
 
@@ -289,22 +293,27 @@ def score_influence(
 
 
 def mean_loss_metric(val_set: Sequence[Sample]) -> Callable[[ModelState], float]:
-    """Scalar evaluator: mean per-sample loss over a validation set."""
+    """Scalar evaluator: mean per-sample loss over a non-empty validation set."""
+    if len(val_set) == 0:
+        raise EmptyValidation("the val_loss metric needs a non-empty validation set")
 
     def metric(model: ModelState) -> float:
-        return float(np.mean([per_sample_loss(model, s) for s in val_set]))
+        return float(np.mean(batch_losses(model, val_set)))
 
     return metric
 
 
 def top1_accuracy_metric(val_set: Sequence[Sample]) -> Callable[[ModelState], float]:
-    """Non-differentiable scalar evaluator: next-token argmax accuracy."""
+    """Non-differentiable scalar evaluator: next-token argmax accuracy over a non-empty validation set."""
+    if len(val_set) == 0:
+        raise EmptyValidation("the top1_accuracy metric needs a non-empty validation set")
 
     def metric(model: ModelState) -> float:
+        table = token_table(model, val_set)
         hits = 0
         total = 0
         for s in val_set:
-            pred = np.argmax(_forward(model, s)[3], axis=1)
+            pred = table.top[_forward(model, s, table)[1]]
             hits += int(np.sum(pred == s.token_ids[1:]))
             total += len(s) - 1
         return hits / total

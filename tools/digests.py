@@ -18,6 +18,8 @@ that the paths and printed lines are relative to. The set:
 - ``score`` with each selector;
 - ``gen-data`` on the small config, on the bench shape and on a
   ``mean_length: 2`` config, which pin the corpus generator directly;
+- ``train`` on that ``mean_length: 2`` config, whose one-position samples
+  take the model's one-row products through training and evaluation;
 - ``mix-sim`` on doremi ``lambdas``, doremi proxy/reference losses, and odm;
 - every ``--help``.
 
@@ -116,6 +118,7 @@ def runs():
     yield "gen_data_bench", config_text("static", 1), ["gen-data", "run.yaml", "corpus.jsonl"]
     shortest = small_config().replace("    val_size: 12\n", "    val_size: 12\n    mean_length: 2\n")
     yield "gen_data_mean_length_2", shortest, ["gen-data", "run.yaml", "corpus.jsonl"]
+    yield "train_mean_length_2", shortest, ["train", "run.yaml", "--out-dir", "out"]
     for run, (name, body) in MIX_SIM.items():
         yield f"mix_sim_{run}", small_config(name=name) + "mix_sim:\n" + body, ["mix-sim", "run.yaml", "trajectory.jsonl"]
     for command in ("", "train", "gen-data", "score", "mix-sim"):

@@ -4,10 +4,12 @@ weight trajectories, plus the versioned checkpoint blob.
 A metrics line is ``dataclasses.asdict`` of its ``MetricsRecord``, so the
 record's field order is the line's key order and byte digests of a metrics
 stream are stable across identical runs. A checkpoint file holds the
-``Checkpoint``'s model and optimizer state under fixed keys. Floats
-round-trip exactly (shortest-repr JSON encoding). A malformed corpus,
-metrics or checkpoint file raises ``ParseError``, naming the line for
-line-delimited files.
+``Checkpoint``'s model and optimizer state under fixed keys, and is written
+a chunk of ``_CHECKPOINT_CHUNK`` values at a time: its bytes are those of
+one ``json.dumps`` of the whole payload, but the writer never holds a
+parameter-sized list or string. Floats round-trip exactly (shortest-repr
+JSON encoding). A malformed corpus, metrics or checkpoint file raises
+``ParseError``, naming the line for line-delimited files.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .model import Checkpoint, ModelState, OptimizerState
 from .selectors import ScoreVector
 
 CHECKPOINT_VERSION = 1
+_CHECKPOINT_CHUNK = 4096  # values of a parameter-sized array formatted at once
 
 _CORPUS_KEYS = {"id", "domain", "tokens"}
 
@@ -137,21 +140,38 @@ def write_scores(path, scores: ScoreVector) -> None:
     write_jsonl(path, ({"id": int(i), "score": float(s), "method": scores.method} for i, s in zip(scores.ids, scores.scores)))
 
 
+def _write_json_array(fh, a: Optional[np.ndarray]) -> None:
+    """Write ``json.dumps(a.tolist())`` (``null`` for None), ``_CHECKPOINT_CHUNK`` values at a time."""
+    if a is None:
+        fh.write("null")
+        return
+    fh.write("[")
+    for start in range(0, a.size, _CHECKPOINT_CHUNK):
+        fh.write(("" if start == 0 else ", ") + json.dumps(a[start:start + _CHECKPOINT_CHUNK].tolist())[1:-1])
+    fh.write("]")
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Write ``ckpt`` to ``path`` for ``load_checkpoint``.
+
+    The file's bytes are ``json.dumps(payload)`` of the payload ``{"version",
+    "arch", "params", "opt": {"kind", "hyper", "m", "v", "t"}}``,
+    ``Infinity``/``NaN`` spellings and float reprs included, but it is
+    written in chunks: ``params``, ``m`` and ``v`` are formatted
+    ``_CHECKPOINT_CHUNK`` values at a time, so the writer's memory does not
+    grow with the parameter count. The small sections come from
+    ``json.dumps`` of the objects that hold them, with the closing brace
+    left off until the arrays that follow are written.
+    """
     model, opt = ckpt.model, ckpt.opt
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "arch": dataclasses.asdict(model.arch),
-        "params": model.params.tolist(),
-        "opt": {
-            "kind": opt.kind,
-            "hyper": dataclasses.asdict(opt.hyper),
-            "m": None if opt.m is None else opt.m.tolist(),
-            "v": None if opt.v is None else opt.v.tolist(),
-            "t": opt.t,
-        },
-    }
-    Path(path).write_text(json.dumps(payload))
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"version": CHECKPOINT_VERSION, "arch": dataclasses.asdict(model.arch)})[:-1] + ', "params": ')
+        _write_json_array(fh, model.params)
+        fh.write(', "opt": ' + json.dumps({"kind": opt.kind, "hyper": dataclasses.asdict(opt.hyper)})[:-1] + ', "m": ')
+        _write_json_array(fh, opt.m)
+        fh.write(', "v": ')
+        _write_json_array(fh, opt.v)
+        fh.write(f', "t": {json.dumps(opt.t)}}}}}')
 
 
 def _checkpoint_section(cls, payload: dict, label: str):
@@ -163,8 +183,36 @@ def _checkpoint_section(cls, payload: dict, label: str):
     return parsed
 
 
+def _checked_optimizer(opt: dict, n_params: int) -> OptimizerState:
+    """The ``OptimizerState`` of a checkpoint's ``opt`` section, consistent with itself.
+
+    Its kind is that of its ``hyper`` section; Adam holds both moments, one
+    value per parameter (any float, ``inf`` included), and SGD neither; the
+    step count is not negative. Anything else raises ``ValueError``.
+    """
+    hyper = _checkpoint_section(OptimCfg, opt["hyper"], "opt.hyper")
+    if opt["kind"] != hyper.kind:
+        raise ValueError(f"optimizer kind {opt['kind']!r} does not match opt.hyper kind {hyper.kind!r}")
+    state = OptimizerState(hyper.kind, hyper, opt["m"], opt["v"], int(opt["t"]))
+    for name in ("m", "v"):
+        moment = getattr(state, name)
+        if hyper.kind == "sgd" and moment is not None:
+            raise ValueError(f"sgd optimizer state holds moment {name!r}")
+        if hyper.kind == "adam" and (moment is None or moment.shape != (n_params,)):
+            got = "none" if moment is None else f"shape {moment.shape}"
+            raise ValueError(f"adam moment {name!r} must hold {n_params} values, got {got}")
+    if state.t < 0:
+        raise ValueError(f"optimizer step count {state.t} is negative")
+    return state
+
+
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a corrupt, truncated or mis-keyed file raises ``ParseError``."""
+    """Read a checkpoint; a corrupt, truncated, mis-keyed or inconsistent file raises ``ParseError``.
+
+    Inconsistent: an optimizer kind other than its ``hyper`` kind, Adam
+    moments that are missing or not one per parameter, SGD moments, or a
+    negative step count.
+    """
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -173,11 +221,8 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise ParseError(f"unsupported checkpoint version {version!r}; this release reads {CHECKPOINT_VERSION}")
     try:
-        opt = payload["opt"]
-        return Checkpoint(
-            ModelState(_checkpoint_section(ModelCfg, payload["arch"], "arch"), payload["params"]),
-            OptimizerState(opt["kind"], _checkpoint_section(OptimCfg, opt["hyper"], "opt.hyper"), opt["m"], opt["v"], int(opt["t"])),
-        )
+        model = ModelState(_checkpoint_section(ModelCfg, payload["arch"], "arch"), payload["params"])
+        return Checkpoint(model, _checked_optimizer(payload["opt"], model.params.size))
     except KeyError as exc:
         raise ParseError(f"checkpoint is missing key {exc}") from None
     except (AttributeError, TypeError, ValueError, BadParams) as exc:

@@ -23,18 +23,19 @@ BLAS computes differently). That holds for OpenBLAS at every shape the
 tests and the benchmark use, not at every shape: with an inner dimension of
 16 or more and some output widths (10, 50 or 300 columns, say) a row's
 last bits can depend on the row count, and values then move by rounding.
-``_backward`` turns one sample's table rows into its gradient blocks
-(``train_step`` can hand the losses of the forward pass to a weighting
-function before it runs the backward ones), and ``_adam_moments`` is the
-one bias-corrected Adam update (``train_step`` applies it and builds the
-next ``OptimizerState`` from its moments; ``adam_precondition`` reports its
-direction and drops them).
+``_backward`` turns one sample's table rows into its gradient, written
+block by block into a caller's vector (``train_step`` can hand the losses
+of the forward pass to a weighting function before it runs the backward
+ones), and ``_adam_moments`` is the one bias-corrected Adam update
+(``train_step`` applies it and builds the next ``OptimizerState`` from its
+moments; ``adam_precondition`` reports its direction and drops them).
 
 The gradient-space helpers can write into a caller's buffer:
 ``per_sample_gradient`` and ``adam_precondition`` take ``out=``, and
 ``out`` may be the gradient itself, so a caller that fills many rows (the
 influence scorer) allocates no parameter-sized array per row beyond Adam's
-own moments.
+own moments. ``train_step`` reuses one such vector for every sample of its
+batch.
 
 All functions here are pure over immutable state: ``ModelState`` and
 ``OptimizerState`` hold read-only float64 arrays (copies, except the
@@ -272,25 +273,31 @@ def batch_losses(model: ModelState, batch: Sequence[Sample]) -> np.ndarray:
     return np.array([per_sample_loss(model, s, table) for s in batch])
 
 
-def _backward(table: TokenTable, tokens: np.ndarray, rows: np.ndarray):
-    """The gradient blocks (d_emb, d_w1, d_b1, d_w2, d_b2) of one sample's pass through ``table``."""
+def _backward(table: TokenTable, tokens: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One sample's gradient through ``table``, written into ``out`` and returned.
+
+    ``out`` is a contiguous float64 vector of the parameter count; the
+    blocks (d_emb, d_w1, d_b1, d_w2, d_b2) are written into its views
+    ``_blocks(arch, out)``.
+    """
     emb, w1, _, w2, _ = table.model.unpack()
+    d_emb, d_w1, d_b1, d_w2, d_b2 = _blocks(table.model.arch, out)
     inputs, targets = tokens[:-1], tokens[1:]
     x, hid = emb[inputs], table.hid[rows]
     d_logits = table.probs[rows]
     d_logits[np.arange(targets.size), targets] -= 1.0
     d_logits /= targets.size              # gradient of the positional mean
 
-    d_w2 = hid.T @ d_logits
-    d_b2 = d_logits.sum(axis=0)
+    np.matmul(hid.T, d_logits, out=d_w2)
+    np.sum(d_logits, axis=0, out=d_b2)
     d_hid = d_logits @ w2.T
     d_z1 = d_hid * (1.0 - hid * hid)
-    d_w1 = x.T @ d_z1
-    d_b1 = d_z1.sum(axis=0)
+    np.matmul(x.T, d_z1, out=d_w1)
+    np.sum(d_z1, axis=0, out=d_b1)
     d_x = d_z1 @ w1.T
-    d_emb = np.zeros_like(emb)
+    d_emb[...] = 0.0
     np.add.at(d_emb, inputs, d_x)
-    return d_emb, d_w1, d_b1, d_w2, d_b2
+    return out
 
 
 def per_sample_gradient(
@@ -298,15 +305,14 @@ def per_sample_gradient(
 ) -> np.ndarray:
     """Exact gradient of ``per_sample_loss`` w.r.t. the flat parameter vector.
 
-    The five gradient blocks are concatenated into ``out`` (a contiguous
-    float64 vector of the parameter count), or into a new array when it is
-    None; the return value is that array. ``table`` is as for
-    ``per_sample_loss``.
+    The gradient is written into ``out`` (a contiguous float64 vector of the
+    parameter count), or into a new array when it is None; the return value
+    is that array. ``table`` is as for ``per_sample_loss``.
     """
     if table is None:
         table = token_table(model, [s])
     rows = _forward(model, s, table)[1]
-    return np.concatenate([block.ravel() for block in _backward(table, s.token_ids, rows)], out=out)
+    return _backward(table, s.token_ids, rows, np.empty_like(model.params) if out is None else out)
 
 
 def embed(model: ModelState, s: Sample) -> np.ndarray:
@@ -341,11 +347,12 @@ def _weighted_gradient(model: ModelState, batch: Sequence[Sample], weights) -> t
         w = _checked_weights(weights(np.array([loss for loss, _ in passes])), n)
 
     grad = np.zeros_like(model.params)
-    grad_blocks = _blocks(model.arch, grad)
+    g = np.empty_like(grad)
     wloss = 0.0
     for wi, s, (loss_i, rows) in zip(w, batch, passes):
-        for acc, block in zip(grad_blocks, _backward(table, s.token_ids, rows)):
-            acc += wi * block
+        _backward(table, s.token_ids, rows, g)
+        g *= wi
+        grad += g
         wloss += wi * loss_i
     grad /= n
     return grad, float(wloss / n)

@@ -267,6 +267,13 @@ def score_influence(
     Rademacher projection. Under ``mean_gradient`` the target is the mean
     validation gradient; under ``max_cosine`` each pool sample takes its best
     match over individual validation gradients.
+
+    Scores repeat bitwise for a fixed BLAS thread count, not across thread
+    counts: the whole-pool matrix-vector product of ``_cosine_rows`` can
+    split its rows between threads and round them differently (with
+    OpenBLAS 0.3.31, a 149 x 4424 product differs between 1 and 2 threads,
+    2000 x 512 and 2000 x 26944 ones do not). ``tools/digests.py`` and the
+    benchmark pin BLAS to one thread.
     """
     if len(val_set) == 0:
         raise EmptyValidation("influence scoring needs a non-empty validation set")

@@ -92,3 +92,41 @@ def test_params_of_the_wrong_length(checkpoint_file):
     edit(checkpoint_file, lambda p: p["params"].pop())
     with pytest.raises(ParseError, match="params length"):
         load_checkpoint(checkpoint_file)
+
+
+def test_unknown_optimizer_kind(checkpoint_file):
+    edit(checkpoint_file, lambda p: p["opt"].update(kind="rmsprop"))
+    with pytest.raises(ParseError, match="corrupt checkpoint: optimizer kind 'rmsprop'"):
+        load_checkpoint(checkpoint_file)
+
+
+def test_optimizer_kind_that_contradicts_its_hyper_kind(checkpoint_file):
+    edit(checkpoint_file, lambda p: p["opt"].update(kind="sgd"))
+    with pytest.raises(ParseError, match="corrupt checkpoint: optimizer kind 'sgd' does not match opt.hyper kind 'adam'"):
+        load_checkpoint(checkpoint_file)
+
+
+def test_adam_checkpoint_without_moments(checkpoint_file):
+    edit(checkpoint_file, lambda p: p["opt"].update(m=None, v=None))
+    with pytest.raises(ParseError, match="corrupt checkpoint: adam moment 'm' must hold 112 values, got none"):
+        load_checkpoint(checkpoint_file)
+
+
+def test_adam_moment_of_the_wrong_length(checkpoint_file):
+    edit(checkpoint_file, lambda p: p["opt"].update(m=[0.0, 0.0, 0.0]))
+    with pytest.raises(ParseError, match=r"corrupt checkpoint: adam moment 'm' must hold 112 values, got shape \(3,\)"):
+        load_checkpoint(checkpoint_file)
+
+
+def test_negative_step_count(checkpoint_file):
+    edit(checkpoint_file, lambda p: p["opt"].update(t=-5))
+    with pytest.raises(ParseError, match="corrupt checkpoint: optimizer step count -5 is negative"):
+        load_checkpoint(checkpoint_file)
+
+
+def test_sgd_checkpoint_with_moments(checkpoint_file):
+    def to_sgd(p):
+        p["opt"]["kind"] = p["opt"]["hyper"]["kind"] = "sgd"
+    edit(checkpoint_file, to_sgd)
+    with pytest.raises(ParseError, match="corrupt checkpoint: sgd optimizer state holds moment 'm'"):
+        load_checkpoint(checkpoint_file)

@@ -235,18 +235,19 @@ def largest_remainder_counts(n: int, weights: np.ndarray) -> np.ndarray:
 
 
 def _generate_samples(specs, counts, seed, id_start):
+    """``counts[d]`` samples of each domain ``d`` in turn, ids from ``id_start``.
+
+    Sample ``i`` (counted across the domains) draws from
+    ``SeedSequence(seed, spawn_key=(i,))``, the ``i``-th child that
+    ``SeedSequence(seed).spawn`` gives. Each child is built as its sample
+    is drawn, so one ``SeedSequence`` is alive at a time.
+    """
     samplers = [_DomainSampler(spec) for spec in specs]
-    total = int(sum(counts))
-    children = np.random.SeedSequence(seed).spawn(total)
+    domains = np.repeat(np.arange(len(counts)), counts)
     samples = []
-    next_id = id_start
-    child = 0
-    for d, count in enumerate(counts):
-        for _ in range(int(count)):
-            rng = np.random.default_rng(children[child])
-            samples.append(Sample(id=next_id, domain_id=d, token_ids=samplers[d].sample_tokens(rng)))
-            next_id += 1
-            child += 1
+    for i, d in enumerate(domains.tolist()):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        samples.append(Sample(id=id_start + i, domain_id=d, token_ids=samplers[d].sample_tokens(rng)))
     return samples
 
 

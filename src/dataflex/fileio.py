@@ -188,12 +188,15 @@ def _checked_optimizer(opt: dict, n_params: int) -> OptimizerState:
 
     Its kind is that of its ``hyper`` section; Adam holds both moments, one
     value per parameter (any float, ``inf`` included), and SGD neither; the
-    step count is not negative. Anything else raises ``ValueError``.
+    step count is a JSON integer (not a float, string or boolean) and not
+    negative. Anything else raises ``ValueError``.
     """
     hyper = _checkpoint_section(OptimCfg, opt["hyper"], "opt.hyper")
     if opt["kind"] != hyper.kind:
         raise ValueError(f"optimizer kind {opt['kind']!r} does not match opt.hyper kind {hyper.kind!r}")
-    state = OptimizerState(hyper.kind, hyper, opt["m"], opt["v"], int(opt["t"]))
+    if type(opt["t"]) is not int:  # bool is a subclass of int
+        raise ValueError(f"optimizer step count {json.dumps(opt['t'])} is not an integer")
+    state = OptimizerState(hyper.kind, hyper, opt["m"], opt["v"], opt["t"])
     for name in ("m", "v"):
         moment = getattr(state, name)
         if hyper.kind == "sgd" and moment is not None:
@@ -211,7 +214,7 @@ def load_checkpoint(path) -> Checkpoint:
 
     Inconsistent: an optimizer kind other than its ``hyper`` kind, Adam
     moments that are missing or not one per parameter, SGD moments, or a
-    negative step count.
+    step count that is not a non-negative integer.
     """
     try:
         payload = json.loads(Path(path).read_text())

@@ -41,6 +41,7 @@ logger = logging.getLogger(__name__)
 
 _GRAD_CHUNK = 128
 _SIGN_BLOCK = 2048  # input coordinates (sign-matrix rows) per cached block
+_UNPACK_ROWS = 256  # sign-matrix rows unpacked at a time into the float buffer
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +126,9 @@ class SignProjection:
     time to ±1.0 and accumulates its product in block order, so projecting
     is a deterministic function of (seed, dim_in, dim_out). A call holds
     one ``(_SIGN_BLOCK, dim_out)`` float buffer and refills it in place for
-    every block, so it allocates no float sign block per block.
+    every block, unpacking ``_UNPACK_ROWS`` rows at a time, so per block
+    it allocates no float signs and at most ``_UNPACK_ROWS * dim_out``
+    bytes of unpacked bits.
     """
 
     def __init__(self, dim_out: int, dim_in: int, seed: int):
@@ -142,7 +145,9 @@ class SignProjection:
         buf = np.empty((min(_SIGN_BLOCK, self.dim_in), self.dim_out))
         for start, packed in zip(range(0, self.dim_in, _SIGN_BLOCK), blocks):
             signs = buf[: packed.shape[0]]
-            np.multiply(np.unpackbits(packed, axis=1, count=self.dim_out), 2.0, out=signs)
+            for row in range(0, packed.shape[0], _UNPACK_ROWS):
+                bits = np.unpackbits(packed[row:row + _UNPACK_ROWS], axis=1, count=self.dim_out)
+                np.multiply(bits, 2.0, out=signs[row:row + _UNPACK_ROWS])
             signs -= 1.0
             out += mat[:, start:start + packed.shape[0]] @ signs
         out /= np.sqrt(self.dim_out)
@@ -169,9 +174,15 @@ def score_delta_loss(
     """Score = loss under the reference snapshot minus current loss.
 
     Positive scores mark samples the model has learned since the reference;
-    ``hardest_first`` flips the sign to prioritize un-learned samples.
+    ``hardest_first`` flips the sign to prioritize un-learned samples. Only
+    the snapshot's model is read, so a run that keeps just the reference
+    model scores through ``_delta_loss``.
     """
-    scores = batch_losses(ref_snapshot.model, pool) - batch_losses(model, pool)
+    return _delta_loss(model, ref_snapshot.model, pool, hardest_first)
+
+
+def _delta_loss(model: ModelState, ref_model: ModelState, pool: Sequence[Sample], hardest_first: bool) -> ScoreVector:
+    scores = batch_losses(ref_model, pool) - batch_losses(model, pool)
     if hardest_first:
         scores = -scores
     return ScoreVector(_pool_ids(pool), scores, "delta_loss")
@@ -182,9 +193,10 @@ def _fill_gradients(
 ) -> np.ndarray:
     """Write each sample's (optionally Adam-preconditioned) gradient into a row of ``rows``.
 
-    The gradient is concatenated straight into its row and preconditioned
-    there in place, so no row is copied. The samples are read from one
-    ``token_table`` per ``_GRAD_CHUNK`` of them.
+    ``per_sample_gradient`` writes the gradient into its row block by
+    block, and the row is preconditioned there in place, so no row is
+    copied. The samples are read from one ``token_table`` per
+    ``_GRAD_CHUNK`` of them.
     """
     for start in range(0, len(samples), _GRAD_CHUNK):
         chunk = samples[start:start + _GRAD_CHUNK]

@@ -65,7 +65,6 @@ from .model import (
     embed,
     init_model,
     init_optimizer,
-    snapshot,
     state_digest,
     train_step,  # likewise: steps go through mixers.Component, and the tracer wraps this name too
 )
@@ -73,9 +72,9 @@ from .selectors import (
     InfluenceParams,
     ScoreVector,
     TsdsParams,
+    _delta_loss,
     _pool_ids,
     mean_loss_metric,
-    score_delta_loss,
     score_influence,
     score_knn,
     score_loss,
@@ -144,7 +143,7 @@ class DeltaLossSelector:
     hardest_first: bool = False
 
     def score(self, run) -> ScoreVector:
-        return score_delta_loss(run.model, run.component.ref_checkpoint, run.corpus.samples, hardest_first=self.hardest_first)
+        return _delta_loss(run.model, run.component.ref_model, run.corpus.samples, self.hardest_first)
 
 
 class InfluenceSelector:
@@ -265,9 +264,16 @@ class SelectionEvent:
 
 @dataclass
 class RunResult:
-    model: object
-    opt: object
+    """A run's outputs.
+
+    ``model`` and ``opt`` are the final states, set when ``_Run.drive``
+    returns. They are None until then, so a running run's result holds no
+    state that a step has superseded.
+    """
+
     metrics: list
+    model: object = None
+    opt: object = None
     invocations: list = field(default_factory=list)
     selections: list = field(default_factory=list)
     weight_trajectory: Optional[list] = None
@@ -299,7 +305,7 @@ class _Run:
         self.rng = np.random.default_rng(kids[2])  # for the component
         self.policy = cfg.init_mixture_proportions or empirical_proportions(corpus)
         self.pool, self.digest = corpus, 0
-        self.result = RunResult(model=self.model, opt=self.opt, metrics=[])
+        self.result = RunResult(metrics=[])
         self.points = []
         self.component = component
         component.start(self)
@@ -345,9 +351,13 @@ class _Selection(Component):
     """A selector's run: at each point, the pool becomes the selector's top ``select_k``.
 
     Selectors score the whole corpus from the run (``score(run)``) and read
-    the reference checkpoint and the frozen embeddings from here, the run's
-    ``component``. A selector may also define ``start(run)``, called once
-    before step 1 to reject what the run's data rules out.
+    the reference model and the frozen embeddings from here, the run's
+    ``component``. The reference is the model current at the run's start,
+    then at its latest point. Only the model is kept: no selector reads
+    the reference's optimizer state, so a point's optimizer state is
+    released once the next step has replaced it. A selector may also
+    define ``start(run)``, called once before step 1 to reject what the
+    run's data rules out.
     """
 
     def __init__(self, cfg: RunConfig, registry: ComponentRegistry):
@@ -360,7 +370,7 @@ class _Selection(Component):
             raise BadParams(f"selection ratio {self.mode.ratio} keeps no sample of {len(run.corpus)}")
         getattr(self.selector, "start", lambda run: None)(run)
         run.points = invocation_steps(run.cfg.schedule)
-        self.ref_checkpoint = snapshot(run.model, run.opt)
+        self.ref_model = run.model
         self.frozen_embeddings = None
 
     def embeddings(self, run):
@@ -384,7 +394,7 @@ class _Selection(Component):
         run.pool = Corpus([corpus.by_id(i) for i in chosen], corpus.domain_names, corpus.vocab_size)
         run.policy = empirical_proportions(run.pool)
         run.digest = 0 if len(run.pool) == len(corpus) else id_set_digest(chosen)
-        self.ref_checkpoint = snapshot(run.model, run.opt)
+        self.ref_model = run.model
         run.result.selections.append(SelectionEvent(step=step, ids=tuple(chosen), digest=run.digest, scores=scores))
 
 

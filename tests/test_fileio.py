@@ -124,6 +124,24 @@ def test_negative_step_count(checkpoint_file):
         load_checkpoint(checkpoint_file)
 
 
+def test_fractional_step_count(checkpoint_file):
+    edit(checkpoint_file, lambda p: p["opt"].update(t=2.7))
+    with pytest.raises(ParseError, match="corrupt checkpoint: optimizer step count 2.7 is not an integer"):
+        load_checkpoint(checkpoint_file)
+
+
+def test_string_step_count(checkpoint_file):
+    edit(checkpoint_file, lambda p: p["opt"].update(t="3"))
+    with pytest.raises(ParseError, match='corrupt checkpoint: optimizer step count "3" is not an integer'):
+        load_checkpoint(checkpoint_file)
+
+
+def test_boolean_step_count(checkpoint_file):
+    edit(checkpoint_file, lambda p: p["opt"].update(t=True))
+    with pytest.raises(ParseError, match="corrupt checkpoint: optimizer step count true is not an integer"):
+        load_checkpoint(checkpoint_file)
+
+
 def test_sgd_checkpoint_with_moments(checkpoint_file):
     def to_sgd(p):
         p["opt"]["kind"] = p["opt"]["hyper"]["kind"] = "sgd"

@@ -71,6 +71,7 @@ dataflex:
 #: (kind, name) -> the component_params of each of its small configs.
 VARIANTS = {
     ("selector", "random"): [{"ratio": 0.4, "accumulate": "true"}],
+    ("selector", "delta_loss"): [{}, {"hardest_first": "true"}],
     ("selector", "less"): [
         {"projection_dim": 64},
         {"projection_dim": 64, "aggregation": "max_cosine"},

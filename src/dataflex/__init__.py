@@ -24,7 +24,6 @@ from .mixers import (
     excess_loss,
     odm_init,
     odm_update,
-    run_doremi_pipeline,
     sample_batch,
 )
 from .model import (
@@ -58,6 +57,7 @@ from .trainers import (
     DEFAULT_REGISTRY,
     ComponentRegistry,
     RunResult,
+    run_doremi_pipeline,
     run_training,
 )
 from .weighters import WeightStrategy, compute_weights

@@ -196,8 +196,6 @@ def config_from_tree(tree: dict) -> RunConfig:
     for key in ("component_name", "component_params"):
         if key in top and top[key] is None:
             del top[key]  # an empty ``component_name:`` or ``component_params:`` means none
-    if top.get("init_mixture_proportions") is not None:
-        top["init_mixture_proportions"] = MixtureWeights.from_config(top["init_mixture_proportions"])
     hints = typing.get_type_hints(RunConfig)
     for target in ("model_cfg", "optim_cfg", "schedule"):
         top[target] = params_from(hints[target], user[target], "config", aliases[target])

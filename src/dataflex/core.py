@@ -49,9 +49,14 @@ def _unwrap_optional(hint):
 
 
 def _coerce(value, hint, optional=False):
-    """``value`` as a field of type ``hint``, or ``None`` if ``optional``; TypeError/ValueError if it is not one."""
+    """``value`` as a field of type ``hint``, or ``None`` if ``optional``; TypeError/ValueError if it is not one.
+
+    A ``MixtureWeights`` field reads a list of floats, through ``MixtureWeights.from_config``.
+    """
     if optional and value is None:
         return None
+    if hint is MixtureWeights:
+        return MixtureWeights.from_config(_coerce(value, list[float]))
     if typing.get_origin(hint) is list and isinstance(value, list):
         return [_coerce(v, *_unwrap_optional(typing.get_args(hint)[0])) for v in value]
     if value is None or isinstance(value, bool) != (hint is bool):
@@ -181,11 +186,13 @@ class MixtureWeights:
 
     @classmethod
     def from_config(cls, values: Sequence[float]) -> "MixtureWeights":
-        """Build from config-file proportions: 1e-6 tolerance, then renormalize."""
+        """Build from config-file proportions: 1e-6 tolerance, then renormalize.
+
+        Only the sum is checked here; the constructor checks the shape,
+        the signs and that every entry is finite.
+        """
         w = np.asarray(values, dtype=np.float64)
         total = float(w.sum())
-        if w.ndim != 1 or w.size < 1 or np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise BadSimplex(f"init proportions invalid: {values!r}")
         if abs(total - 1.0) > CONFIG_SIMPLEX_ATOL:
             raise BadSimplex(f"init proportions sum to {total!r}, expected 1 within {CONFIG_SIMPLEX_ATOL}")
         if abs(total - 1.0) > SIMPLEX_ATOL:

@@ -54,10 +54,11 @@ def read_corpus(path, vocab_size: int, domain_names: Optional[Sequence[str]] = N
 
     Each line is one record with exactly the keys ``id``, ``domain`` and
     ``tokens``. Domain names default to their order of first appearance;
-    with ``domain_names`` given, any other domain is an error. A record that
-    is not such an object, or whose sample is invalid (a bad id or token, a
-    token outside ``[0, vocab_size)``, a repeated id), raises ``ParseError``
-    naming its line.
+    with ``domain_names`` given, any other domain is an error. The id and
+    every token must be JSON integers: a float, a string or a boolean is
+    not read as one. A record that is not such an object, or whose sample is
+    invalid (a bad id or token, a token outside ``[0, vocab_size)``, a
+    repeated id), raises ``ParseError`` naming its line.
     """
     names = list(domain_names or ())
     index = {name: i for i, name in enumerate(names)}
@@ -84,8 +85,12 @@ def read_corpus(path, vocab_size: int, domain_names: Optional[Sequence[str]] = N
                     raise ParseError(f"unknown domain {domain!r}", lineno)
                 index[domain] = len(names)
                 names.append(domain)
+            tokens = rec["tokens"] if isinstance(rec["tokens"], list) else []  # a non-list is not 1-D: Sample rejects it
+            bad = [v for v in (rec["id"], *tokens) if type(v) is not int]  # bool is a subclass of int
+            if bad:
+                raise ParseError(f"bad corpus record: invalid literal {json.dumps(bad[0])} for an integer", lineno)
             try:
-                s = Sample(id=int(rec["id"]), domain_id=index[domain], token_ids=np.asarray(rec["tokens"], dtype=np.int64))
+                s = Sample(id=rec["id"], domain_id=index[domain], token_ids=np.asarray(rec["tokens"], dtype=np.int64))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"bad corpus record: {exc}", lineno) from None
             if s.id in samples:

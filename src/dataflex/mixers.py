@@ -1,34 +1,26 @@
 """Domain-mixture computation: excess-loss exponentiated-gradient updates,
 an Exp3 bandit with EMA rewards, policy-driven batch sampling, the
-``Component`` hooks that every run of the step engine calls, the mixers
-built on them, and the reference/proxy pipeline that produces DoReMi's
-static mixture.
+``Component`` hooks that every run of the step engine calls, and the
+mixers built on them.
 
 ODM (arXiv:2312.02406) and DoReMi (arXiv:2305.10429) both turn each domain's
 mean batch loss since the last point into a new mixture, so both mixers
 keep a ``LossWindow`` and train through ``LossWindow.train``, which fills it
-from the training step's own forward pass. The pipeline's two stages are
-runs of the one step engine, ``trainers._Run``: the reference stage with a
-plain ``Component``, the proxy stage with a ``DoremiProxyMixer``.
+from the training step's own forward pass. DoReMi's reference/proxy
+pipeline, ``trainers.run_doremi_pipeline``, lives beside the step engine
+that runs its two stages; its proxy stage runs a ``DoremiProxyMixer``.
+This module does not import ``trainers``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import (
-    Corpus,
-    MixtureWeights,
-    RunConfig,
-    bounded,
-    check_fields,
-    invocation_steps,
-    params_from,
-)
+from .core import Corpus, MixtureWeights, bounded, check_fields, invocation_steps
 from .errors import BadParams, EmptyDomainWithMass, LengthMismatch, NonFinite
 from .model import ModelState, batch_losses, train_step
 
@@ -38,11 +30,11 @@ class DoremiParams:
     """DoReMi's knobs: the exponentiated-gradient step and the reference/proxy pipeline.
 
     ``doremi_update`` reads ``eta`` and ``epsilon``; ``excess_loss`` is
-    clipped at zero unless ``clip_excess`` is false. ``run_doremi_pipeline``
-    reads the rest, where ``None`` derives a value from the run:
-    ``ref_steps`` defaults to ``max(warmup_step + update_step *
-    update_times, 1)`` reference steps, and ``proxy_hidden_dim`` to half the
-    target's hidden width (at least 2).
+    clipped at zero unless ``clip_excess`` is false.
+    ``trainers.run_doremi_pipeline`` reads the rest, where ``None`` derives
+    a value from the run: ``ref_steps`` defaults to ``max(warmup_step +
+    update_step * update_times, 1)`` reference steps, and
+    ``proxy_hidden_dim`` to half the target's hidden width (at least 2).
     """
 
     eta: float = bounded(0.1, gt=0.0, lt=math.inf)
@@ -352,50 +344,3 @@ class DoremiProxyMixer(Mixer):
         lam = excess_loss(self.proxy_window.take(), self.ref_window.take(), clip=self.params.clip_excess)
         lam[np.isnan(lam)] = 0.0  # a domain the window did not see has no excess
         return doremi_update(policy, lam, self.params), {"excess_losses": [float(x) for x in lam]}
-
-
-@dataclass
-class DoremiPipelineResult:
-    weights: MixtureWeights
-    trajectory: list
-
-
-def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, params: Optional[DoremiParams] = None) -> DoremiPipelineResult:
-    """Reference/proxy two-stage mixture optimization; returns static weights.
-
-    Both stages are runs of the one step engine, ``trainers._Run``, without
-    evals, on a narrower hidden layer than the target model by default
-    (``proxy_hidden_dim``). The reference stage is a plain ``Component``
-    run: it trains ``ref_steps`` steps on the initial mixture and has no
-    points. The proxy stage is a ``DoremiProxyMixer`` run: it fires at the
-    points of ``invocation_steps`` (under the rule written there) and stops
-    at the last one, so ``update_times`` exponentiated-gradient updates shape
-    its sampling. The final (or, with ``average_weights``, time-averaged)
-    vector is returned for use as a static mixture, with the proxy's
-    trajectory records.
-
-    ``params`` are the parsed ``DoremiParams``, the same object that drives
-    every update; by default they are parsed from ``cfg.component_params``.
-    """
-    from .trainers import _Run  # local import; trainers imports this module
-
-    if params is None:
-        params = params_from(DoremiParams, cfg.component_params, "doremi mixer")
-    schedule = cfg.schedule
-    ref_steps = params.ref_steps
-    if ref_steps is None:
-        ref_steps = max(schedule.warmup_step + schedule.update_step * schedule.update_times, 1)
-    hidden = params.proxy_hidden_dim or max(2, cfg.model_cfg.hidden_dim // 2)
-    stage = replace(cfg, model_cfg=replace(cfg.model_cfg, hidden_dim=hidden))
-
-    # Seed children 8 and 9 (init, sampling) are the reference's, 10 and 11
-    # the proxy's; the target run uses the low ones.
-    ref = _Run(stage, corpus, None, Component(), seed_child=8)
-    ref.drive(ref_steps)
-    proxy = _Run(stage, corpus, None, DoremiProxyMixer(ref.model, params), seed_child=10)
-    proxy.drive(max(proxy.points, default=0))  # later steps would feed no update
-
-    trajectory = proxy.result.weight_trajectory
-    if params.average_weights and trajectory:
-        return DoremiPipelineResult(MixtureWeights(np.mean([rec["weights"] for rec in trajectory], axis=0)), trajectory)
-    return DoremiPipelineResult(proxy.policy, trajectory)

@@ -63,20 +63,17 @@ from .errors import ColdOptimizer, LengthMismatch, NegativeWeight, NonFinite, No
 @lru_cache(maxsize=None)
 def _layout(arch: ModelCfg):
     v, e, h = arch.vocab_size, arch.embed_dim, arch.hidden_dim
-    sizes = [v * e, e * h, h, h * v, v]
-    offsets = np.cumsum([0] + sizes)
-    return offsets, sizes
+    return tuple(np.cumsum([0, v * e, e * h, h, h * v, v]).tolist())  # cached: an immutable result
 
 
 def param_count(arch: ModelCfg) -> int:
-    offsets, _ = _layout(arch)
-    return int(offsets[-1])
+    return int(_layout(arch)[-1])
 
 
 def _blocks(arch: ModelCfg, flat: np.ndarray):
     """Views (emb, w1, b1, w2, b2) into a flat vector of the parameter layout."""
     v, e, h = arch.vocab_size, arch.embed_dim, arch.hidden_dim
-    o, _ = _layout(arch)
+    o = _layout(arch)
     return (
         flat[o[0]:o[1]].reshape(v, e),
         flat[o[1]:o[2]].reshape(e, h),

@@ -188,26 +188,6 @@ def _delta_loss(model: ModelState, ref_model: ModelState, pool: Sequence[Sample]
     return ScoreVector(_pool_ids(pool), scores, "delta_loss")
 
 
-def _fill_gradients(
-    rows: np.ndarray, model: ModelState, samples: Sequence[Sample], opt: OptimizerState, preconditioning: str
-) -> np.ndarray:
-    """Write each sample's (optionally Adam-preconditioned) gradient into a row of ``rows``.
-
-    ``per_sample_gradient`` writes the gradient into its row block by
-    block, and the row is preconditioned there in place, so no row is
-    copied. The samples are read from one ``token_table`` per
-    ``_GRAD_CHUNK`` of them.
-    """
-    for start in range(0, len(samples), _GRAD_CHUNK):
-        chunk = samples[start:start + _GRAD_CHUNK]
-        table = token_table(model, chunk)
-        for row, s in zip(rows[start:start + len(chunk)], chunk):
-            per_sample_gradient(model, s, out=row, table=table)
-            if preconditioning == "adam":
-                adam_precondition(row, opt, out=row)
-    return rows
-
-
 def _gradient_rows(
     model: ModelState,
     samples: Sequence[Sample],
@@ -217,22 +197,30 @@ def _gradient_rows(
 ) -> np.ndarray:
     """Per-sample (optionally preconditioned, optionally sketched) gradients.
 
-    Unsketched rows are written straight into the result. Sketched ones go
-    through one ``(_GRAD_CHUNK, P)`` buffer, projected a chunk at a time.
-    Either way each gradient is written into its row and preconditioned in
-    place (``_fill_gradients``). The chunks are not stacked into one
-    product: BLAS may round a row differently when the product has a
-    different number of rows, so the chunk size is part of the scores.
+    The samples are taken ``_GRAD_CHUNK`` at a time, read from one
+    ``token_table`` per chunk. ``per_sample_gradient`` writes each gradient
+    into its row block by block, and the row is preconditioned there in
+    place, so no row is copied. Unsketched rows are rows of the result.
+    Sketched ones are rows of one ``(_GRAD_CHUNK, P)`` buffer, projected a
+    chunk at a time once the chunk's table is released. The chunks are not
+    stacked into one product: BLAS may round a row differently when the
+    product has a different number of rows, so the chunk size is part of
+    the scores.
     """
     n = len(samples)
-    if proj is None:
-        return _fill_gradients(np.empty((n, model.params.size)), model, samples, opt, preconditioning)
-    out = np.empty((n, proj.dim_out))
-    block = np.empty((min(n, _GRAD_CHUNK), model.params.size))
+    out = np.empty((n, model.params.size if proj is None else proj.dim_out))
+    block = None if proj is None else np.empty((min(n, _GRAD_CHUNK), model.params.size))
     for start in range(0, n, _GRAD_CHUNK):
         chunk = samples[start:start + _GRAD_CHUNK]
-        rows = _fill_gradients(block[: len(chunk)], model, chunk, opt, preconditioning)
-        out[start:start + len(chunk)] = proj.project(rows)
+        rows = (out[start:] if proj is None else block)[: len(chunk)]
+        table = token_table(model, chunk)
+        for row, s in zip(rows, chunk):
+            per_sample_gradient(model, s, out=row, table=table)
+            if preconditioning == "adam":
+                adam_precondition(row, opt, out=row)
+        del table
+        if proj is not None:
+            out[start:start + len(chunk)] = proj.project(rows)
     return out
 
 
@@ -393,10 +381,9 @@ def score_knn(pool_embeddings, val_embeddings, k: int, pool_ids: Optional[np.nda
     raw = pool_m @ val_m.T
     cos[nz] = raw[nz] / denom[nz]
 
-    val_order = np.arange(val_m.shape[0])
     scores = np.empty(pool_m.shape[0])
     for i in range(pool_m.shape[0]):
-        order = np.lexsort((val_order, -cos[i]))
+        order = np.argsort(-cos[i], kind="stable")
         scores[i] = cos[i, order[:k]].mean()
     ids = pool_ids if pool_ids is not None else np.arange(pool_m.shape[0])
     return ScoreVector(ids, scores, "knn")
@@ -407,9 +394,9 @@ def score_tsds(pool_embeddings, val_embeddings, params: TsdsParams = TsdsParams(
 
     1. Each validation query contributes Gaussian-kernel relevance mass
        ``exp(-d^2 / (2 sigma^2))`` to its (up to) ``max_K`` nearest pool
-       points by Euclidean distance.
+       points by Euclidean distance, ties broken by lower pool index.
     2. Every pool point with nonzero mass gets a KDE density estimate from
-       its ``kde_K`` nearest pool neighbors (itself excluded).
+       its ``kde_K`` nearest pool neighbors (itself excluded, ties likewise).
     3. score = alpha * mass / (1 + C * density) + (1 - alpha) * mass;
        zero-mass points score 0.
     """
@@ -432,14 +419,9 @@ def score_tsds(pool_embeddings, val_embeddings, params: TsdsParams = TsdsParams(
     mass = np.zeros(n)
     val_sq = np.sum(val_m * val_m, axis=1)
     d2_pool_val = np.maximum(pool_sq[:, None] - 2.0 * (pool_m @ val_m.T) + val_sq[None, :], 0.0)
-    retained = min(params.max_K, n)
-    pool_order = np.arange(n)
     for j in range(val_m.shape[0]):
         col = d2_pool_val[:, j]
-        if retained < n:
-            idx = np.lexsort((pool_order, col))[:retained]
-        else:
-            idx = pool_order
+        idx = np.argsort(col, kind="stable")[:params.max_K] if params.max_K < n else slice(None)
         mass[idx] += np.exp(-col[idx] * inv_two_sigma_sq)
 
     # Step 2: KDE density over pool neighbors for points that matter.
@@ -452,7 +434,7 @@ def score_tsds(pool_embeddings, val_embeddings, params: TsdsParams = TsdsParams(
             np.fill_diagonal(d2_pool, np.inf)
             for i in np.nonzero(needs_density)[0]:
                 row = d2_pool[i]
-                idx = np.lexsort((pool_order, row))[:kde_k]
+                idx = np.argsort(row, kind="stable")[:kde_k]
                 density[i] = np.exp(-row[idx] * inv_two_sigma_sq).sum() / kde_k
 
     scores = params.tradeoff_alpha * mass / (1.0 + params.C * density) + (1.0 - params.tradeoff_alpha) * mass

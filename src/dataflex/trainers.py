@@ -16,9 +16,11 @@ read.
 ``static``, a ``_Selection`` around a selector, the registry's ``Mixer``,
 or a ``_Weighting`` around a weight strategy. Selectors, mixers and
 weighters all resolve through the registry. ``run_training`` drives one run
-for ``max_steps`` steps; ``mixers.run_doremi_pipeline`` drives its
-reference and proxy stages as runs without evals, and ``DoremiMixer.start``
-runs that pipeline to set its run's static mixture.
+for ``max_steps`` steps. DoReMi's pipeline lives here, beside the engine:
+``run_doremi_pipeline`` drives its reference and proxy stages as runs
+without evals, and ``DoremiMixer.start`` runs that pipeline to set its
+run's static mixture. ``mixers`` holds the component hooks and the mixers,
+and imports nothing from this module.
 
 All modes share one batch-sampling path (domains drawn from a policy, then
 uniform within the domain), so degenerate configurations (select-all,
@@ -30,7 +32,7 @@ every point enforces that the optimizer step is the only mutation point.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +40,7 @@ import numpy as np
 from .core import (
     Corpus,
     MetricsRecord,
+    MixtureWeights,
     RunConfig,
     bounded,
     check_fields,
@@ -52,12 +55,12 @@ from .evaluation import eval_per_domain
 from .mixers import (
     Component,
     DoremiParams,
+    DoremiProxyMixer,
     Mixer,
     OdmMixer,
     OdmParams,
     RandomMixer,
     StaticMixer,
-    run_doremi_pipeline,
     sample_batch,
 )
 from .model import (
@@ -345,6 +348,51 @@ class _Run:
                 self.result.invocations.append(step)
         self.result.model, self.result.opt = self.model, self.opt
         return self.result
+
+
+@dataclass
+class DoremiPipelineResult:
+    weights: MixtureWeights
+    trajectory: list
+
+
+def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, params: Optional[DoremiParams] = None) -> DoremiPipelineResult:
+    """Reference/proxy two-stage mixture optimization; returns static weights.
+
+    Both stages are runs of the one step engine, ``_Run``, without
+    evals, on a narrower hidden layer than the target model by default
+    (``proxy_hidden_dim``). The reference stage is a plain ``Component``
+    run: it trains ``ref_steps`` steps on the initial mixture and has no
+    points. The proxy stage is a ``DoremiProxyMixer`` run: it fires at the
+    points of ``invocation_steps`` (under the rule written there) and stops
+    at the last one, so ``update_times`` exponentiated-gradient updates shape
+    its sampling. The final (or, with ``average_weights``, time-averaged)
+    vector is returned for use as a static mixture, with the proxy's
+    trajectory records.
+
+    ``params`` are the parsed ``DoremiParams``, the same object that drives
+    every update; by default they are parsed from ``cfg.component_params``.
+    """
+    if params is None:
+        params = params_from(DoremiParams, cfg.component_params, "doremi mixer")
+    schedule = cfg.schedule
+    ref_steps = params.ref_steps
+    if ref_steps is None:
+        ref_steps = max(schedule.warmup_step + schedule.update_step * schedule.update_times, 1)
+    hidden = params.proxy_hidden_dim or max(2, cfg.model_cfg.hidden_dim // 2)
+    stage = replace(cfg, model_cfg=replace(cfg.model_cfg, hidden_dim=hidden))
+
+    # Seed children 8 and 9 (init, sampling) are the reference's, 10 and 11
+    # the proxy's; the target run uses the low ones.
+    ref = _Run(stage, corpus, None, Component(), seed_child=8)
+    ref.drive(ref_steps)
+    proxy = _Run(stage, corpus, None, DoremiProxyMixer(ref.model, params), seed_child=10)
+    proxy.drive(max(proxy.points, default=0))  # later steps would feed no update
+
+    trajectory = proxy.result.weight_trajectory
+    if params.average_weights and trajectory:
+        return DoremiPipelineResult(MixtureWeights(np.mean([rec["weights"] for rec in trajectory], axis=0)), trajectory)
+    return DoremiPipelineResult(proxy.policy, trajectory)
 
 
 class _Selection(Component):

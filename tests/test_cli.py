@@ -43,6 +43,10 @@ def run_cli(capsys, *argv):
         ("train", "  batch_size: 0\n  max_steps: 4\n  eval_interval: 2\n", "batch_size"),
         ("train", "  batch_size: 4\n  max_steps: -1\n  eval_interval: 2\n", "max_steps"),
         ("train", "  batch_size: eight\n  max_steps: 4\n  eval_interval: 2\n", "batch_size"),
+        *(
+            ("dataflex", f"  train_type: static\n  init_mixture_proportions: {value}\n", "init_mixture_proportions")
+            for value in ("[x, 1]", '"abc"', "[[0.5, 0.5]]", "[0.5, true]", "[0.5, null]")
+        ),
     ],
 )
 def test_bad_config_value_exits_with_bad_params(tmp_path, capsys, section, body, key):

@@ -1,5 +1,5 @@
-"""Checkpoint and metrics files: bad input raises ``ParseError``, never a bare
-``KeyError`` or ``TypeError``, and names where the file went bad."""
+"""Checkpoint, metrics and corpus files: bad input raises ``ParseError``, never
+a bare ``KeyError`` or ``TypeError``, and names where the file went bad."""
 
 import json
 
@@ -8,7 +8,7 @@ import pytest
 
 from dataflex import MetricsRecord, ModelCfg, OptimCfg, init_model, init_optimizer, snapshot, train_step
 from dataflex.errors import ParseError
-from dataflex.fileio import load_checkpoint, read_metrics, save_checkpoint, write_metrics
+from dataflex.fileio import load_checkpoint, read_corpus, read_metrics, save_checkpoint, write_metrics
 
 from conftest import make_sample
 
@@ -148,3 +148,30 @@ def test_sgd_checkpoint_with_moments(checkpoint_file):
     edit(checkpoint_file, to_sgd)
     with pytest.raises(ParseError, match="corrupt checkpoint: sgd optimizer state holds moment 'm'"):
         load_checkpoint(checkpoint_file)
+
+
+def corpus_file(tmp_path, record):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": 0, "domain": "a", "tokens": [1, 2, 3]}\n' + json.dumps(record) + "\n")
+    return path
+
+
+def test_corpus_of_json_integers_reads(tmp_path):
+    corpus = read_corpus(corpus_file(tmp_path, {"id": 5, "domain": "b", "tokens": [4, 0]}), vocab_size=8)
+    assert [s.id for s in corpus.samples] == [0, 5] and corpus.by_id(5).token_ids.tolist() == [4, 0]
+
+
+@pytest.mark.parametrize(
+    "record,literal",
+    [
+        ({"id": 1, "domain": "a", "tokens": [1.7, 2]}, "1.7"),
+        ({"id": 1, "domain": "a", "tokens": [2, "4"]}, '"4"'),
+        ({"id": 1, "domain": "a", "tokens": [3, True]}, "true"),
+        ({"id": 1.9, "domain": "a", "tokens": [1, 2]}, "1.9"),
+        ({"id": 1.0, "domain": "a", "tokens": [1, 2]}, "1.0"),
+    ],
+    ids=["fractional token", "string token", "boolean token", "fractional id", "integral float id"],
+)
+def test_corpus_id_and_tokens_must_be_json_integers(tmp_path, record, literal):
+    with pytest.raises(ParseError, match=f"line 2: bad corpus record: invalid literal {literal} for an integer"):
+        read_corpus(corpus_file(tmp_path, record), vocab_size=8)

@@ -318,9 +318,18 @@ def invocation_steps(s: Schedule) -> list:
     return [s.warmup_step + j * s.update_step for j in range(s.update_times)]
 
 
+#: The most parameters (``V*E + E*H + H + H*V + V``) that a ``ModelCfg`` may
+#: hold: 1 GiB for each parameter-sized float64 array.
+MAX_MODEL_PARAMS = 2**27
+
+
 @dataclass(frozen=True)
 class ModelCfg:
-    """Architecture of the analytic backend: next-token LM over one vocabulary."""
+    """Architecture of the analytic backend: next-token LM over one vocabulary.
+
+    Its parameter count is at most ``MAX_MODEL_PARAMS``, checked before
+    anything is allocated.
+    """
 
     vocab_size: int = 64
     embed_dim: int = 16
@@ -328,8 +337,15 @@ class ModelCfg:
     task: str = bounded("lm", choices=("lm",))  # next-token LM only
 
     def __post_init__(self):
-        if min(self.vocab_size, self.embed_dim, self.hidden_dim) < 1:
+        v, e, h = self.vocab_size, self.embed_dim, self.hidden_dim
+        if min(v, e, h) < 1:
             raise BadParams("model dimensions must be positive")
+        count = v * e + e * h + h + h * v + v
+        if count > MAX_MODEL_PARAMS:
+            raise BadParams(
+                f"model: vocab_size {v}, embed_dim {e} and hidden_dim {h} give {count} parameters,"
+                f" above the bound of {MAX_MODEL_PARAMS}"
+            )
         check_fields(self)
 
 

@@ -31,6 +31,7 @@ CHECKPOINT_VERSION = 1
 _CHECKPOINT_CHUNK = 4096  # values of a parameter-sized array formatted at once
 
 _CORPUS_KEYS = {"id", "domain", "tokens"}
+_MAX_ID = int(np.iinfo(np.int64).max)  # ids are held as int64
 
 
 def _jsonl_lines(records: Iterable[dict]):
@@ -57,8 +58,8 @@ def read_corpus(path, vocab_size: int, domain_names: Optional[Sequence[str]] = N
     with ``domain_names`` given, any other domain is an error. The id and
     every token must be JSON integers: a float, a string or a boolean is
     not read as one. A record that is not such an object, or whose sample is
-    invalid (a bad id or token, a token outside ``[0, vocab_size)``, a
-    repeated id), raises ``ParseError`` naming its line.
+    invalid (a bad id or token, an id outside int64, a token outside
+    ``[0, vocab_size)``, a repeated id), raises ``ParseError`` naming its line.
     """
     names = list(domain_names or ())
     index = {name: i for i, name in enumerate(names)}
@@ -89,6 +90,8 @@ def read_corpus(path, vocab_size: int, domain_names: Optional[Sequence[str]] = N
             bad = [v for v in (rec["id"], *tokens) if type(v) is not int]  # bool is a subclass of int
             if bad:
                 raise ParseError(f"bad corpus record: invalid literal {json.dumps(bad[0])} for an integer", lineno)
+            if rec["id"] > _MAX_ID:
+                raise ParseError(f"bad corpus record: sample id {rec['id']} is above the int64 bound {_MAX_ID}", lineno)
             try:
                 s = Sample(id=rec["id"], domain_id=index[domain], token_ids=np.asarray(rec["tokens"], dtype=np.int64))
             except (TypeError, ValueError, OverflowError) as exc:

@@ -41,7 +41,7 @@ logger = logging.getLogger(__name__)
 
 _GRAD_CHUNK = 128
 _SIGN_BLOCK = 2048  # input coordinates (sign-matrix rows) per cached block
-_UNPACK_ROWS = 256  # sign-matrix rows unpacked at a time into the float buffer
+_UNPACK_ROWS = 256  # sign-matrix rows drawn, or unpacked into the float buffer, at a time; even
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,12 +109,23 @@ def _sign_blocks(seed: int, dim_in: int, dim_out: int) -> tuple:
     from one generator, in order; a set bit is +1. Each block is stored
     ``np.packbits``-ed along its rows (dim_out / 8 bytes per row) and
     read-only, so the cache costs 1/64 of the float matrix.
+
+    A block is drawn ``_UNPACK_ROWS`` rows at a time, each slice packed into
+    the block as it is drawn, so a build holds one slice of int64 draws and
+    never a whole block. The bits are those of one whole-block draw:
+    numpy's bounded-integer fill spends one 32-bit half of a 64-bit word per
+    value and drops an unused half only at the end of a call, and every
+    slice but a block's last draws ``_UNPACK_ROWS * dim_out`` values. That
+    count is even only while ``_UNPACK_ROWS`` is, so it must stay even.
     """
     rng = np.random.default_rng(seed)
     blocks = []
     for start in range(0, dim_in, _SIGN_BLOCK):
-        bits = rng.integers(0, 2, size=(min(_SIGN_BLOCK, dim_in - start), dim_out))
-        blocks.append(_read_only(np.packbits(bits, axis=1)))
+        block = np.empty((min(_SIGN_BLOCK, dim_in - start), (dim_out + 7) // 8), dtype=np.uint8)
+        for row in range(0, block.shape[0], _UNPACK_ROWS):
+            rows = block[row:row + _UNPACK_ROWS]
+            rows[:] = np.packbits(rng.integers(0, 2, size=(rows.shape[0], dim_out)), axis=1)
+        blocks.append(_read_only(block))
     return tuple(blocks)
 
 
@@ -122,10 +133,11 @@ class SignProjection:
     """Seeded Rademacher sketch, applied block-wise over input coordinates.
 
     The sign matrix is drawn once per (seed, dim_in, dim_out) and cached
-    bit-packed (``_sign_blocks``); each call unpacks one block of rows at a
-    time to ±1.0 and accumulates its product in block order, so projecting
-    is a deterministic function of (seed, dim_in, dim_out). A call holds
-    one ``(_SIGN_BLOCK, dim_out)`` float buffer and refills it in place for
+    bit-packed (``_sign_blocks``, which draws and packs ``_UNPACK_ROWS``
+    rows at a time); each call unpacks one block of rows at a time to ±1.0
+    and accumulates its product in block order, so projecting is a
+    deterministic function of (seed, dim_in, dim_out). A call holds one
+    ``(_SIGN_BLOCK, dim_out)`` float buffer and refills it in place for
     every block, unpacking ``_UNPACK_ROWS`` rows at a time, so per block
     it allocates no float signs and at most ``_UNPACK_ROWS * dim_out``
     bytes of unpacked bits.

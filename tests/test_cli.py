@@ -268,6 +268,7 @@ def corpus_data(tmp_path, corpus_text, corpus="corpus.jsonl"):
         ('{"id": 1, "domain": "a", "tokens": [1, -2]}', "negative token"),
         ('{"id": 1, "domain": "a", "tokens": [1, 32]}', "out of vocabulary"),
         ('{"id": 0, "domain": "a", "tokens": [1, 2]}', "duplicate sample id 0"),
+        ('{"id": 100000000000000000000000, "domain": "a", "tokens": [1, 2]}', "sample id 100000000000000000000000 is above the int64 bound"),
         ("3", "must be an object"),
     ],
 )
@@ -515,6 +516,26 @@ def test_synthetic_size_or_mode_out_of_range_exits_with_bad_params_at_parse(tmp_
     code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
     assert code == BadParams.exit_code
     assert err.splitlines() == [f"BadParams: {message}"]
+
+
+@pytest.mark.parametrize(
+    "model,count",
+    [
+        ("  vocab_size: 32\n  embed_dim: 6\n  hidden_dim: 4000000000\n", 156000000224),
+        ("  vocab_size: 100000000000\n  embed_dim: 6\n  hidden_dim: 8\n", 1500000000056),
+        ("  vocab_size: 100000\n  embed_dim: 700\n  hidden_dim: 700\n", 140590700),
+    ],
+    ids=["hidden_dim", "vocab_size", "just over"],
+)
+@pytest.mark.parametrize("command", ["train", "gen-data", "score"])
+def test_model_over_the_parameter_bound_exits_with_bad_params_at_parse(tmp_path, capsys, monkeypatch, model, count, command):
+    monkeypatch.setattr(cli, "build_domain_specs", lambda *args, **kwargs: pytest.fail("domains built before the check"))
+    config = write_config(tmp_path, model=model)
+    out = ["--out-dir", str(tmp_path / "out")] if command == "train" else [str(tmp_path / "out.jsonl")]
+    code, err = run_cli(capsys, command, config, *out)
+    assert code == BadParams.exit_code
+    assert len(err.splitlines()) == 1 and err.startswith("BadParams: model:")
+    assert f"give {count} parameters, above the bound of {2**27}" in err
 
 
 def test_softmax_temperature_that_overflows_the_weights_exits_with_non_finite(tmp_path, capsys):

@@ -5,6 +5,7 @@ from dataflex import (
     Corpus,
     MetricsRecord,
     MixtureWeights,
+    ModelCfg,
     RunConfig,
     Sample,
     Schedule,
@@ -12,7 +13,8 @@ from dataflex import (
     id_set_digest,
     validate_config,
 )
-from dataflex.errors import BadSchedule, BadSimplex, NonFinite, UnknownComponent, UnknownTrainType
+from dataflex.core import MAX_MODEL_PARAMS
+from dataflex.errors import BadParams, BadSchedule, BadSimplex, NonFinite, UnknownComponent, UnknownTrainType
 
 from conftest import make_sample
 
@@ -170,3 +172,11 @@ class TestDigest:
 
     def test_fits_64_bits(self):
         assert 0 <= id_set_digest(range(100)) < 2**64
+
+
+def test_model_cfg_holds_at_most_the_parameter_bound():
+    v = (MAX_MODEL_PARAMS - 2) // 3  # V*E + E*H + H + H*V + V = 3V + 2 with E = H = 1
+    assert 3 * v + 2 == MAX_MODEL_PARAMS
+    ModelCfg(vocab_size=v, embed_dim=1, hidden_dim=1)
+    with pytest.raises(BadParams, match=f"give {MAX_MODEL_PARAMS + 3} parameters, above the bound of {MAX_MODEL_PARAMS}"):
+        ModelCfg(vocab_size=v + 1, embed_dim=1, hidden_dim=1)

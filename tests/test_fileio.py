@@ -175,3 +175,11 @@ def test_corpus_of_json_integers_reads(tmp_path):
 def test_corpus_id_and_tokens_must_be_json_integers(tmp_path, record, literal):
     with pytest.raises(ParseError, match=f"line 2: bad corpus record: invalid literal {literal} for an integer"):
         read_corpus(corpus_file(tmp_path, record), vocab_size=8)
+
+
+def test_corpus_id_above_int64_raises_parse_error_naming_its_line(tmp_path):
+    big = 2**63
+    with pytest.raises(ParseError, match=f"line 2: bad corpus record: sample id {big} is above the int64 bound {big - 1}"):
+        read_corpus(corpus_file(tmp_path, {"id": big, "domain": "a", "tokens": [1, 2]}), vocab_size=8)
+    corpus = read_corpus(corpus_file(tmp_path, {"id": big - 1, "domain": "a", "tokens": [1, 2]}), vocab_size=8)
+    assert [s.id for s in corpus.samples] == [0, big - 1]

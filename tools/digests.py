@@ -77,6 +77,7 @@ VARIANTS = {
         {"projection_dim": 64, "aggregation": "max_cosine"},
         {"projection_dim": 0},
         {"projection_dim": 64, "preconditioning": "none"},
+        {"projection_dim": 13},  # an odd width: packbits pads each row
     ],
     ("selector", "tsds"): [{"max_k": 20, "kde_k": 10}],
     ("mixer", "doremi"): [{"ref_steps": 6}],

@@ -5,6 +5,11 @@ checkpoint, and any trajectory files), ``gen-data`` (emit a synthetic corpus
 file), ``score`` (one-shot selector scoring dump after warmup training), and
 ``mix-sim`` (drive a mixer from recorded loss vectors with no model).
 
+No component is named here: ``train`` and ``score`` resolve theirs in
+``run_training``, and ``mix-sim`` resolves its mixer through the registry
+and calls ``Mixer.replay``, which feeds the mixer's one rule, ``update``,
+one ``mix_sim`` row at a time.
+
 Every package error maps to a distinct exit code; the table is printed as
 part of ``--help``. Failures emit a single diagnostic line on stderr.
 """
@@ -23,7 +28,7 @@ import numpy as np
 from .config import _require_map, config_from_tree, load_config_tree
 from .core import MixtureWeights, RunConfig, Schedule, check_keys, empirical_proportions, params_from, validate_config
 from .data import SyntheticParams, build_domain_specs, generate_corpus, make_validation
-from .errors import IO_ERROR_EXIT_CODE, DataflexError, LengthMismatch, ParseError, exit_code_table
+from .errors import IO_ERROR_EXIT_CODE, DataflexError, ParseError, exit_code_table
 from .fileio import (
     read_corpus,
     save_checkpoint,
@@ -32,9 +37,8 @@ from .fileio import (
     write_metrics,
     write_scores,
 )
-from .mixers import DoremiParams, OdmParams, doremi_update, excess_loss, odm_init, odm_update
 from .model import snapshot
-from .trainers import run_training
+from .trainers import DEFAULT_REGISTRY, run_training
 
 
 @dataclass(frozen=True)
@@ -47,21 +51,6 @@ class _Path:
 def _path(section: dict, key: str, label: str) -> Optional[str]:
     """``section[key]`` read as ``params_from`` reads a str field, or None if absent."""
     return params_from(_Path, {key: section[key]} if key in section else {}, label, {key: "path"}).path
-
-
-@dataclass(frozen=True)
-class MixSimParams:
-    """The ``mix_sim`` section: recorded loss vectors, one row per update.
-
-    doremi reads ``lambdas`` (excess losses), or else ``proxy_losses`` with
-    ``ref_losses``; odm reads ``losses``, where a null entry marks a domain
-    not observed in that round.
-    """
-
-    lambdas: Optional[list[list[float]]] = None
-    proxy_losses: Optional[list[list[float]]] = None
-    ref_losses: Optional[list[list[float]]] = None
-    losses: Optional[list[list[Optional[float]]]] = None
 
 
 def _build_data(tree: dict, cfg: RunConfig):
@@ -171,44 +160,11 @@ def _cmd_score(args) -> int:
 
 def _cmd_mix_sim(args) -> int:
     tree, cfg = _load_run_inputs(args.config, args)
-    sim = params_from(MixSimParams, _require_map(tree.get("mix_sim"), "mix_sim"), "mix_sim")
-    name = cfg.component_name
-    trajectory = []
-    if name == "doremi":
-        params = params_from(DoremiParams, cfg.component_params, "doremi mixer")
-        if sim.lambdas is not None:
-            lambdas = [np.asarray(v, dtype=np.float64) for v in sim.lambdas]
-        elif sim.proxy_losses is not None and sim.ref_losses is not None:
-            if len(sim.proxy_losses) != len(sim.ref_losses):
-                raise LengthMismatch(
-                    f"mix_sim has {len(sim.proxy_losses)} proxy_losses rows but {len(sim.ref_losses)} ref_losses rows"
-                )
-            lambdas = [
-                excess_loss(np.asarray(p, dtype=np.float64), np.asarray(r, dtype=np.float64), clip=params.clip_excess)
-                for p, r in zip(sim.proxy_losses, sim.ref_losses)
-            ]
-        else:
-            raise ParseError("mix_sim for doremi needs 'lambdas' or 'proxy_losses'+'ref_losses'")
-        if not lambdas:
-            raise ParseError("mix_sim has no updates")
-        alpha = cfg.init_mixture_proportions or MixtureWeights.uniform(lambdas[0].size)
-        for i, lam in enumerate(lambdas):
-            alpha = doremi_update(alpha, lam, params)
-            trajectory.append({"update": i, "weights": [float(x) for x in alpha.weights], "excess_losses": [float(x) for x in lam]})
-    elif name == "odm":
-        params = params_from(OdmParams, cfg.component_params, "odm mixer")
-        if not sim.losses:
-            raise ParseError("mix_sim for odm needs a 'losses' sequence")
-        vectors = [np.array([np.nan if x is None else x for x in row]) for row in sim.losses]
-        k = vectors[0].size
-        state = odm_init(cfg.init_mixture_proportions or MixtureWeights.uniform(k), params)
-        for i, losses in enumerate(vectors):
-            state = odm_update(state, losses, params)
-            trajectory.append({"update": i, "weights": [float(x) for x in state.policy.weights]})
-    else:
-        raise ParseError(f"mix-sim supports component_name doremi or odm, got {name!r}")
-    write_jsonl(args.out, trajectory)
-    print(f"mix-sim: {name} ran {len(trajectory)} updates -> {args.out}")
+    mixer = DEFAULT_REGISTRY.resolve("mixer", cfg.component_name, cfg.component_params)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2])  # a run's component child
+    records = mixer.replay(_require_map(tree.get("mix_sim"), "mix_sim"), cfg.init_mixture_proportions, rng)
+    write_jsonl(args.out, records)
+    print(f"mix-sim: {cfg.component_name} ran {len(records)} updates -> {args.out}")
     return 0
 
 

@@ -4,12 +4,17 @@ an Exp3 bandit with EMA rewards, policy-driven batch sampling, the
 mixers built on them.
 
 ODM (arXiv:2312.02406) and DoReMi (arXiv:2305.10429) both turn each domain's
-mean batch loss since the last point into a new mixture, so both mixers
-keep a ``LossWindow`` and train through ``LossWindow.train``, which fills it
-from the training step's own forward pass. DoReMi's reference/proxy
-pipeline, ``trainers.run_doremi_pipeline``, lives beside the step engine
-that runs its two stages; its proxy stage runs a ``DoremiProxyMixer``.
-This module does not import ``trainers``.
+mean batch loss since the last point into a new mixture with one
+exponentiated step, so both mixers keep a ``LossWindow`` and train through
+``LossWindow.train``, which fills it from the training step's own forward
+pass. Every mixer has one rule, ``Mixer.update(policy, observation, rng)``:
+a run calls it at each point with what ``observe`` takes from its windows,
+and ``Mixer.replay`` (``dataflex-cli mix-sim``) calls it once per recorded
+``mix_sim`` row, with no model. DoReMi's rule is ``DoremiRule``, shared by
+its proxy stage and the registry's ``trainers.DoremiMixer``. The
+reference/proxy pipeline, ``trainers.run_doremi_pipeline``, lives beside the
+step engine that runs its two stages; its proxy stage runs a
+``DoremiProxyMixer``. This module does not import ``trainers``.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Corpus, MixtureWeights, bounded, check_fields, invocation_steps
-from .errors import BadParams, EmptyDomainWithMass, LengthMismatch, NonFinite
+from .core import Corpus, MixtureWeights, bounded, check_fields, invocation_steps, params_from
+from .errors import BadParams, EmptyDomainWithMass, LengthMismatch, NonFinite, ParseError
 from .model import ModelState, batch_losses, train_step
 
 
@@ -259,25 +264,88 @@ class Component:
         """Update ``run``'s data view at schedule point ``step``."""
 
 
-class Mixer(Component):
-    """A component that moves the run's mixture at the points; the defaults keep it fixed.
+@dataclass(frozen=True)
+class LossRows:
+    """A ``mix_sim`` section of per-domain losses, one row per update; a null entry marks a domain not observed."""
 
-    ``start`` sets the points of ``invocation_steps`` and an empty
-    trajectory. At each point ``fire`` takes the new policy from ``update``
-    and appends that point's trajectory record.
+    losses: Optional[list[list[Optional[float]]]] = None
+
+    def observations(self, mixer) -> list:
+        return [np.array([np.nan if x is None else x for x in row]) for row in self.losses or ()]
+
+
+@dataclass(frozen=True)
+class DoremiRows:
+    """DoReMi's ``mix_sim`` section: excess losses ``lambdas``, or ``proxy_losses`` with ``ref_losses``, one row per update."""
+
+    lambdas: Optional[list[list[float]]] = None
+    proxy_losses: Optional[list[list[float]]] = None
+    ref_losses: Optional[list[list[float]]] = None
+
+    def observations(self, mixer) -> list:
+        """The excess losses of each row; proxy minus reference losses are clipped as ``mixer.params`` says."""
+        given = [key for key, rows in vars(self).items() if rows is not None]
+        if given not in (["lambdas"], ["proxy_losses", "ref_losses"]):
+            raise ParseError(f"mix_sim for doremi needs 'lambdas' or 'proxy_losses'+'ref_losses', got {given}")
+        if self.lambdas is not None:
+            return self.lambdas
+        if len(self.proxy_losses) != len(self.ref_losses):
+            raise LengthMismatch(f"mix_sim has {len(self.proxy_losses)} proxy_losses rows but {len(self.ref_losses)} ref_losses rows")
+        return [excess_loss(p, r, clip=mixer.params.clip_excess) for p, r in zip(self.proxy_losses, self.ref_losses)]
+
+
+class Mixer(Component):
+    """A component that moves the run's mixture at the points by its one rule, ``update``.
+
+    The defaults keep the mixture fixed. ``start`` sets the points of
+    ``invocation_steps`` and an empty trajectory, and hands the run's
+    starting policy to ``begin``. At each point ``fire`` passes ``update``
+    what ``observe`` takes from the run's loss windows, and appends the
+    record ``{"step", "weights", **extra}``. ``replay`` drives the same rule
+    from recorded rows, parsed into the dataclass ``rows``.
     """
+
+    #: The dataclass that ``replay`` parses a ``mix_sim`` section into.
+    rows = LossRows
 
     def start(self, run):
         run.points = invocation_steps(run.cfg.schedule)
         run.result.weight_trajectory = []
+        self.begin(run.policy)
+
+    def begin(self, policy: MixtureWeights) -> None:
+        """Set up the rule's state for a trajectory that starts at ``policy``."""
+
+    def observe(self):
+        """The observation of a point, taken from the run's loss windows; None without a window."""
 
     def fire(self, run, step):
-        run.policy, extra = self.update(run.policy, run.rng)
+        run.policy, extra = self.update(run.policy, self.observe(), run.rng)
         run.result.weight_trajectory.append({"step": step, "weights": [float(x) for x in run.policy.weights], **extra})
 
-    def update(self, policy: MixtureWeights, rng):
-        """The policy after a point, and the extra keys of that point's trajectory record."""
+    def update(self, policy: MixtureWeights, observation, rng):
+        """The rule: the policy after a point, and the extra keys of that point's record."""
         return policy, {}
+
+    def replay(self, section: dict, policy: Optional[MixtureWeights], rng) -> list:
+        """Drive ``update`` with one parsed ``mix_sim`` row at a time; returns ``{"update", "weights", **extra}`` records.
+
+        The trajectory starts at ``policy``, or, if it is None, at uniform
+        weights over the first row's width. Every row holds one entry per
+        domain of the policy.
+        """
+        observations = params_from(self.rows, section, "mix_sim").observations(self)
+        if not observations:
+            raise ParseError("mix_sim has no updates")
+        policy = policy or MixtureWeights.uniform(len(observations[0]))
+        if any(len(row) != len(policy) for row in observations):
+            raise LengthMismatch(f"each mix_sim row needs {len(policy)} entries, one per domain")
+        self.begin(policy)
+        records = []
+        for i, observation in enumerate(observations):
+            policy, extra = self.update(policy, observation, rng)
+            records.append({"update": i, "weights": [float(x) for x in policy.weights], **extra})
+        return records
 
 
 @dataclass(frozen=True)
@@ -287,60 +355,74 @@ class StaticMixer(Mixer):
 
 @dataclass(frozen=True)
 class RandomMixer(Mixer):
-    def update(self, policy, rng):
+    def update(self, policy, observation, rng):
         return MixtureWeights(rng.dirichlet(np.ones(len(policy)))), {}
 
 
 class OdmMixer(Mixer):
     """Exp3 over domains, rewarded by each domain's mean batch loss since the last point.
 
-    ``start`` builds the bandit from the run's starting policy, which no
-    point has moved yet, and opens the loss window; each step trains through
-    ``LossWindow.train``, so the batch is forwarded once.
+    ``begin`` builds the bandit from the starting policy (in a run, the
+    run's, which no point has moved yet) and opens the loss window. Each
+    step trains through ``LossWindow.train``, so the batch is forwarded
+    once, and each point observes the window's means.
     """
 
     def __init__(self, params: OdmParams):
         self.params = params
 
-    def start(self, run):
-        super().start(run)
-        self.state = odm_init(run.policy, self.params)
-        self.window = LossWindow(run.corpus.num_domains)
+    def begin(self, policy):
+        self.state = odm_init(policy, self.params)
+        self.window = LossWindow(len(policy))
 
     def step(self, run, batch, step):
         return self.window.train(run, batch)
 
-    def update(self, policy, rng):
-        self.state = odm_update(self.state, self.window.take(), self.params)
+    def observe(self):
+        return self.window.take()
+
+    def update(self, policy, losses, rng):
+        self.state = odm_update(self.state, losses, self.params)
         rewards = np.maximum(self.state.ema_loss, self.params.clip_threshold) / self.params.reward_scale
         return self.state.policy, {"rewards": [float(r) for r in rewards]}
 
 
-class DoremiProxyMixer(Mixer):
-    """The proxy stage of DoReMi, from uniform weights.
+class DoremiRule(Mixer):
+    """DoReMi's rule: one ``doremi_update`` step on the per-domain excess losses, recorded as ``excess_losses``.
 
-    ``start`` sets the run's policy to uniform over the corpus's domains and
-    opens two loss windows. At each step the frozen reference's losses on
-    the batch (a forward pass of its own) go into one, and the proxy trains
-    through ``LossWindow.train`` on the other. At each point the per-domain
-    excess of their means (clipped at zero unless ``clip_excess`` is false)
-    drives ``doremi_update``.
+    Its ``mix_sim`` rows are ``DoremiRows``.
+    """
+
+    rows = DoremiRows
+
+    def __init__(self, params: DoremiParams):
+        self.params = params
+
+    def update(self, policy, lam, rng):
+        return doremi_update(policy, lam, self.params), {"excess_losses": [float(x) for x in lam]}
+
+
+class DoremiProxyMixer(DoremiRule):
+    """The proxy stage of DoReMi; ``run_doremi_pipeline`` starts its run at uniform weights.
+
+    ``begin`` opens two loss windows. At each step the frozen reference's
+    losses on the batch (a forward pass of its own) go into one, and the
+    proxy trains through ``LossWindow.train`` on the other. Each point
+    observes the per-domain excess of their means (clipped at zero unless
+    ``clip_excess`` is false), which drives the rule.
     """
 
     def __init__(self, reference: ModelState, params: DoremiParams):
         self.reference, self.params = reference, params
 
-    def start(self, run):
-        super().start(run)
-        k = run.corpus.num_domains
-        run.policy = MixtureWeights.uniform(k)
-        self.proxy_window, self.ref_window = LossWindow(k), LossWindow(k)
+    def begin(self, policy):
+        self.proxy_window, self.ref_window = LossWindow(len(policy)), LossWindow(len(policy))
 
     def step(self, run, batch, step):
         self.ref_window.add(batch, batch_losses(self.reference, batch))
         return self.proxy_window.train(run, batch)
 
-    def update(self, policy, rng):
+    def observe(self):
         lam = excess_loss(self.proxy_window.take(), self.ref_window.take(), clip=self.params.clip_excess)
         lam[np.isnan(lam)] = 0.0  # a domain the window did not see has no excess
-        return doremi_update(policy, lam, self.params), {"excess_losses": [float(x) for x in lam]}
+        return lam

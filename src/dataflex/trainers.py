@@ -56,7 +56,7 @@ from .mixers import (
     Component,
     DoremiParams,
     DoremiProxyMixer,
-    Mixer,
+    DoremiRule,
     OdmMixer,
     OdmParams,
     RandomMixer,
@@ -109,8 +109,7 @@ class ComponentRegistry:
         try:
             factory = self._factories[(kind, name)]
         except KeyError:
-            known = sorted(n for k, n in self._factories if k == kind)
-            raise UnknownComponent(f"no {kind} named {name!r}; known: {known}") from None
+            raise UnknownComponent(f"no {kind} named {name!r}; known: {self.names(kind)}") from None
         return factory(dict(params or {}))
 
     def names(self, kind: str) -> list:
@@ -152,6 +151,11 @@ class DeltaLossSelector:
 class InfluenceSelector:
     def __init__(self, params: InfluenceParams):
         self.params = params
+
+    def start(self, run):
+        """Reject a ``projection_dim`` above the model's parameter count before the run's first step."""
+        if (self.params.projection_dim or 0) > run.model.params.size:
+            raise BadParams(f"projection_dim must be <= the model's {run.model.params.size} parameters, got {self.params.projection_dim}")
 
     def score(self, run) -> ScoreVector:
         return score_influence(run.model, run.opt, run.corpus.samples, run.val.samples, self.params)
@@ -202,16 +206,14 @@ class RandomSelector:
         return ScoreVector(_pool_ids(run.corpus.samples), run.rng.random(len(run.corpus)), "random")
 
 
-class DoremiMixer(Mixer):
+class DoremiMixer(DoremiRule):
     """DoReMi: the static mixture that ``run_doremi_pipeline`` computes before the run.
 
-    The pipeline's proxy stage fires at the points. ``start`` sets no points,
-    so the run itself fires none; it carries the proxy's trajectory records
-    and points.
+    The pipeline's proxy stage fires DoReMi's rule (``DoremiRule``) at the
+    points. ``start`` sets no points, so the run itself fires none; it
+    carries the proxy's trajectory records and points. ``mix-sim`` replays
+    the same rule on recorded rows (``Mixer.replay``).
     """
-
-    def __init__(self, params: DoremiParams):
-        self.params = params
 
     def start(self, run):
         pipeline = run_doremi_pipeline(run.cfg, run.corpus, self.params)
@@ -248,13 +250,9 @@ def _builtin_factory(kind: str, name: str):
     return lambda params: build(params_from(params_cls, params, f"{name} {kind}", aliases))
 
 
-def _register_builtins(reg: ComponentRegistry) -> None:
-    for kind, name in _BUILTINS:
-        reg.register(kind, name, _builtin_factory(kind, name))
-
-
 DEFAULT_REGISTRY = ComponentRegistry()
-_register_builtins(DEFAULT_REGISTRY)
+for _kind, _name in _BUILTINS:
+    DEFAULT_REGISTRY.register(_kind, _name, _builtin_factory(_kind, _name))
 
 
 @dataclass
@@ -363,12 +361,12 @@ def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, params: Optional[DoremiP
     evals, on a narrower hidden layer than the target model by default
     (``proxy_hidden_dim``). The reference stage is a plain ``Component``
     run: it trains ``ref_steps`` steps on the initial mixture and has no
-    points. The proxy stage is a ``DoremiProxyMixer`` run: it fires at the
-    points of ``invocation_steps`` (under the rule written there) and stops
-    at the last one, so ``update_times`` exponentiated-gradient updates shape
-    its sampling. The final (or, with ``average_weights``, time-averaged)
-    vector is returned for use as a static mixture, with the proxy's
-    trajectory records.
+    points. The proxy stage is a ``DoremiProxyMixer`` run from uniform
+    weights: it fires at the points of ``invocation_steps`` (under the rule
+    written there) and stops at the last one, so ``update_times``
+    exponentiated-gradient updates shape its sampling. The final (or, with
+    ``average_weights``, time-averaged) vector is returned for use as a
+    static mixture, with the proxy's trajectory records.
 
     ``params`` are the parsed ``DoremiParams``, the same object that drives
     every update; by default they are parsed from ``cfg.component_params``.
@@ -386,7 +384,8 @@ def run_doremi_pipeline(cfg: RunConfig, corpus: Corpus, params: Optional[DoremiP
     # the proxy's; the target run uses the low ones.
     ref = _Run(stage, corpus, None, Component(), seed_child=8)
     ref.drive(ref_steps)
-    proxy = _Run(stage, corpus, None, DoremiProxyMixer(ref.model, params), seed_child=10)
+    uniform = replace(stage, init_mixture_proportions=MixtureWeights.uniform(corpus.num_domains))
+    proxy = _Run(uniform, corpus, None, DoremiProxyMixer(ref.model, params), seed_child=10)
     proxy.drive(max(proxy.points, default=0))  # later steps would feed no update
 
     trajectory = proxy.result.weight_trajectory

@@ -7,12 +7,24 @@ line on stderr, never a traceback.
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from dataflex import MixtureWeights, build_domain_specs, empirical_proportions, generate_corpus, make_validation
-from dataflex import cli, mixers, weighters
+from dataflex import cli, mixers, selectors, weighters
 from dataflex.cli import main
-from dataflex.errors import BadParams, BadProportions, BadSimplex, KTooLarge, LengthMismatch, NonFinite, NonFiniteMetric, ParseError
+from dataflex.errors import (
+    BadParams,
+    BadProportions,
+    BadSimplex,
+    KTooLarge,
+    LengthMismatch,
+    NonFinite,
+    NonFiniteMetric,
+    ParseError,
+    UnknownComponent,
+)
+from dataflex.trainers import DEFAULT_REGISTRY
 from dataflex.fileio import write_corpus
 
 BASE = {
@@ -544,3 +556,129 @@ def test_softmax_temperature_that_overflows_the_weights_exits_with_non_finite(tm
     code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
     assert code == NonFinite.exit_code == 19
     assert err.splitlines() == ["NonFinite: softmax weights are not finite at temperature 1e-310"]
+
+
+@pytest.mark.parametrize(
+    "name,sim,foreign",
+    [
+        ("odm", "  losses:\n    - [1.0, 2.0]\n  lambdas:\n    - [1.0, 0.0]\n  proxy_losses:\n    - [1.0, 2.0]\n", "['lambdas', 'proxy_losses']"),
+        ("doremi", "  lambdas:\n    - [1.0, 0.0]\n  losses:\n    - [1.0, 2.0]\n", "['losses']"),
+    ],
+    ids=["odm", "doremi"],
+)
+def test_mix_sim_key_of_another_mixer_exits_with_bad_params(tmp_path, capsys, name, sim, foreign):
+    config = write_config(tmp_path, dataflex=f"  component_name: {name}\n", mix_sim=sim)
+    out = tmp_path / "traj.jsonl"
+    code, err = run_cli(capsys, "mix-sim", config, str(out))
+    assert code == BadParams.exit_code
+    assert len(err.splitlines()) == 1 and err.startswith(f"BadParams: unknown parameter(s) for mix_sim: {foreign}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ref", ["[2.0, 2.0]", "[2.0, 2.0, 2.0]"])
+def test_mix_sim_doremi_given_lambdas_and_losses_exits_with_parse_error(tmp_path, capsys, ref):
+    sim = f"  lambdas:\n    - [1.0, 0.0]\n  proxy_losses:\n    - [1.0, 2.5]\n  ref_losses:\n    - {ref}\n"
+    config = write_config(tmp_path, dataflex="  component_name: doremi\n", mix_sim=sim)
+    out = tmp_path / "traj.jsonl"
+    code, err = run_cli(capsys, "mix-sim", config, str(out))
+    assert code == ParseError.exit_code == 4
+    assert err.splitlines() == [
+        "ParseError: mix_sim for doremi needs 'lambdas' or 'proxy_losses'+'ref_losses', got ['lambdas', 'proxy_losses', 'ref_losses']"
+    ]
+    assert not out.exists()
+
+
+def test_mix_sim_unknown_mixer_exits_with_unknown_component_as_train_does(tmp_path, capsys):
+    config = write_config(tmp_path, dataflex="  train_type: dynamic_mix\n  component_name: nope\n", mix_sim="  losses:\n    - [1.0, 2.0]\n")
+    code, err = run_cli(capsys, "mix-sim", config, str(tmp_path / "traj.jsonl"))
+    assert code == UnknownComponent.exit_code == 24
+    assert err.splitlines() == ["UnknownComponent: no mixer named 'nope'; known: ['doremi', 'odm', 'random', 'static']"]
+    assert run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out")) == (code, err)
+
+
+def mix_sim_records(tmp_path, capsys, dataflex, sim):
+    config = write_config(tmp_path, dataflex=dataflex, mix_sim=sim)
+    out = tmp_path / "traj.jsonl"
+    code, err = run_cli(capsys, "mix-sim", config, str(out))
+    assert (code, err) == (0, "")
+    return [json.loads(line) for line in out.read_text().splitlines()]
+
+
+@pytest.mark.parametrize(
+    "init,weights", [("", [0.5, 0.5]), ("  init_mixture_proportions: [0.25, 0.75]\n", [0.25, 0.75])], ids=["uniform", "init"]
+)
+def test_mix_sim_static_keeps_its_starting_weights(tmp_path, capsys, init, weights):
+    sim = "  losses:\n    - [1.0, 2.0]\n    - [3.0, null]\n    - [0.5, 0.5]\n"
+    records = mix_sim_records(tmp_path, capsys, "  component_name: static\n" + init, sim)
+    assert records == [{"update": i, "weights": weights} for i in range(3)]
+
+
+def trajectory_of_run(tmp_path, capsys, dataflex):
+    config = write_config(tmp_path, dataflex=dataflex)
+    out = tmp_path / "out"
+    assert run_cli(capsys, "train", config, "--out-dir", str(out)) == (0, "")
+    return [json.loads(line) for line in (out / "trajectory.jsonl").read_text().splitlines()]
+
+
+def test_mix_sim_random_replays_the_weights_of_a_random_run_at_the_same_seed(tmp_path, capsys):
+    dataflex = "  train_type: dynamic_mix\n  component_name: random\n  warmup_step: 1\n  update_step: 1\n  update_times: 3\n"
+    run = trajectory_of_run(tmp_path, capsys, dataflex)
+    assert [rec["step"] for rec in run] == [1, 2, 3]
+    records = mix_sim_records(tmp_path, capsys, dataflex, "  losses:\n" + "    - [1.0, 2.0]\n" * 3)
+    assert [rec["weights"] for rec in records] == [rec["weights"] for rec in run]
+    assert len({tuple(rec["weights"]) for rec in records}) == 3
+
+
+def test_mix_sim_doremi_replays_a_run_from_its_excess_losses(tmp_path, capsys):
+    dataflex = "  train_type: dynamic_mix\n  component_name: doremi\n  warmup_step: 2\n  update_step: 2\n  update_times: 4\n"
+    dataflex += "  component_params:\n    ref_steps: 6\n"
+    run = trajectory_of_run(tmp_path, capsys, dataflex)
+    assert len(run) == 4
+    lambdas = "".join(f"    - [{', '.join(repr(x) for x in rec['excess_losses'])}]\n" for rec in run)
+    records = mix_sim_records(tmp_path, capsys, dataflex, "  lambdas:\n" + lambdas)
+    assert [rec["weights"] for rec in records] == [rec["weights"] for rec in run]
+    assert [rec["excess_losses"] for rec in records] == [rec["excess_losses"] for rec in run]
+
+
+class RollMixer(mixers.Mixer):
+    """A toy mixer: each update moves every domain's weight to the next domain."""
+
+    def update(self, policy, observation, rng):
+        return MixtureWeights(np.roll(policy.weights, 1)), {"seen": observation is not None}
+
+
+def test_a_registered_mixer_runs_under_train_and_mix_sim(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(DEFAULT_REGISTRY, "_factories", dict(DEFAULT_REGISTRY._factories))
+    DEFAULT_REGISTRY.register("mixer", "roll", lambda params: RollMixer())
+    dataflex = "  train_type: dynamic_mix\n  component_name: roll\n  init_mixture_proportions: [0.25, 0.75]\n"
+    dataflex += "  warmup_step: 1\n  update_step: 2\n  update_times: 2\n"
+    run = trajectory_of_run(tmp_path, capsys, dataflex)
+    assert run == [{"step": 1, "weights": [0.75, 0.25], "seen": False}, {"step": 3, "weights": [0.25, 0.75], "seen": False}]
+    records = mix_sim_records(tmp_path, capsys, dataflex, "  losses:\n    - [1.0, 2.0]\n    - [1.0, 2.0]\n")
+    assert records == [{"update": 0, "weights": [0.75, 0.25], "seen": True}, {"update": 1, "weights": [0.25, 0.75], "seen": True}]
+
+
+LESS = "  train_type: dynamic_select\n  component_name: less\n" + SCHEDULED
+
+
+@pytest.mark.parametrize("command", ["train", "score"])
+def test_projection_wider_than_the_model_exits_with_bad_params_before_any_step(tmp_path, capsys, monkeypatch, train_steps, command):
+    monkeypatch.setattr(selectors, "SignProjection", lambda *args: pytest.fail("projection built"))
+    config = write_config(tmp_path, dataflex=LESS + "  component_params:\n    projection_dim: 4000000000\n")
+    out = tmp_path / "out"
+    code, err = run_cli(capsys, command, config, *(["--out-dir", str(out)] if command == "train" else [str(out)]))
+    assert code == BadParams.exit_code
+    assert err.splitlines() == ["BadParams: projection_dim must be <= the model's 536 parameters, got 4000000000"]
+    assert train_steps == []
+
+
+@pytest.mark.parametrize("name", ["static", "random", "odm"])
+@pytest.mark.parametrize("init", ["", "  init_mixture_proportions: [0.25, 0.75]\n"], ids=["uniform", "init"])
+def test_mix_sim_row_of_another_width_exits_with_length_mismatch(tmp_path, capsys, name, init):
+    sim = "  losses:\n    - [1.0, 2.0]\n    - [1.0, 2.0, 3.0]\n"
+    config = write_config(tmp_path, dataflex=f"  component_name: {name}\n" + init, mix_sim=sim)
+    out = tmp_path / "traj.jsonl"
+    code, err = run_cli(capsys, "mix-sim", config, str(out))
+    assert code == LengthMismatch.exit_code == 12
+    assert err.splitlines() == ["LengthMismatch: each mix_sim row needs 2 entries, one per domain"]
+    assert not out.exists()

@@ -20,7 +20,8 @@ that the paths and printed lines are relative to. The set:
   ``mean_length: 2`` config, which pin the corpus generator directly;
 - ``train`` on that ``mean_length: 2`` config, whose one-position samples
   take the model's one-row products through training and evaluation;
-- ``mix-sim`` on doremi ``lambdas``, doremi proxy/reference losses, and odm;
+- ``mix-sim`` on doremi ``lambdas``, doremi proxy/reference losses, odm,
+  static and random;
 - every ``--help``.
 
 Each line is ``<run>/<file> <sha256[:16]>``; ``stdout`` is the process's
@@ -85,6 +86,7 @@ VARIANTS = {
 }
 TRAIN_TYPES = {"selector": "dynamic_select", "mixer": "dynamic_mix", "weighter": "dynamic_weight"}
 
+LOSS_ROWS = "  losses:\n    - [2.0, null, 3.0]\n    - [1.9, 2.4, 2.8]\n"
 MIX_SIM = {
     "doremi_lambdas": ("doremi", "  lambdas:\n    - [0.5, 0.0, 1.0]\n    - [0.2, 0.3, 0.0]\n"),
     "doremi_losses": (
@@ -92,7 +94,9 @@ MIX_SIM = {
         "  proxy_losses:\n    - [2.0, 2.5, 3.0]\n    - [1.8, 2.6, 2.9]\n"
         "  ref_losses:\n    - [1.5, 2.6, 2.0]\n    - [1.5, 2.6, 2.0]\n",
     ),
-    "odm": ("odm", "  losses:\n    - [2.0, null, 3.0]\n    - [1.9, 2.4, 2.8]\n"),
+    "odm": ("odm", LOSS_ROWS),
+    "static": ("static", LOSS_ROWS),
+    "random": ("random", LOSS_ROWS),
 }
 
 

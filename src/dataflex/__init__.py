@@ -1,4 +1,17 @@
-"""Dynamic data selection, mixing, and reweighting around a small analytic LM."""
+"""Dynamic data selection, mixing, and reweighting around a small analytic LM.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+and ``MKL_NUM_THREADS`` to 1 where they are unset, before numpy's first
+import. BLAS may round a product differently on another thread count, so
+this keeps every output the same on any machine. A caller who sets one of
+the variables, or who imports numpy before ``dataflex``, keeps their own
+setting.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .core import (
     Corpus,

@@ -143,7 +143,6 @@ def _cmd_gen_data(args) -> int:
 def _cmd_score(args) -> int:
     tree, cfg = _load_run_inputs(args.config, args)
     corpus, val = _build_data(tree, cfg)
-    validate_config(cfg, corpus)
     if not cfg.component_name:
         raise ParseError("score needs dataflex.component_name")
     # The scores of a select run's first selection: the run stops at
@@ -177,33 +176,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_seed(p):
         p.add_argument("--seed", type=int, default=None, help="override train.seed")
-        p.add_argument("--max-steps", type=int, default=None, help="override train.max_steps")
-        p.add_argument("--eval-interval", type=int, default=None, help="override train.eval_interval")
 
     p_train = sub.add_parser("train", help="run the configured training mode")
     p_train.add_argument("config")
-    add_common(p_train)
+    add_seed(p_train)
+    p_train.add_argument("--max-steps", type=int, default=None, help="override train.max_steps")
+    p_train.add_argument("--eval-interval", type=int, default=None, help="override train.eval_interval")
     p_train.add_argument("--out-dir", default=None, help="output directory (default runs/<config stem>)")
     p_train.set_defaults(func=_cmd_train)
 
     p_gen = sub.add_parser("gen-data", help="generate a synthetic corpus file")
     p_gen.add_argument("config")
     p_gen.add_argument("out")
-    add_common(p_gen)
+    add_seed(p_gen)
     p_gen.set_defaults(func=_cmd_gen_data)
 
     p_score = sub.add_parser("score", help="one-shot selector scoring dump")
     p_score.add_argument("config")
     p_score.add_argument("out")
-    add_common(p_score)
+    add_seed(p_score)
     p_score.set_defaults(func=_cmd_score)
 
     p_sim = sub.add_parser("mix-sim", help="mixer updates from recorded loss vectors (no model)")
     p_sim.add_argument("config")
     p_sim.add_argument("out")
-    add_common(p_sim)
+    add_seed(p_sim)
     p_sim.set_defaults(func=_cmd_mix_sim)
     return parser
 

@@ -41,10 +41,10 @@ class DomainSpec:
     name: str
     vocab_size: int
     private_slice: tuple
-    shared_slice: tuple = (0, 0)
-    noise: bool = False
-    bigram_seed: int = 0
-    mean_length: int = 12
+    shared_slice: tuple
+    noise: bool
+    bigram_seed: int
+    mean_length: int
 
     def __post_init__(self):
         lo, hi = self.private_slice
@@ -130,8 +130,7 @@ class _DomainSampler:
         start = (1.0 - nu) * base + nu * uniform
         self.start_cdf = np.cumsum(start / start.sum())
         cont = (1.0 - b - nu) * base + nu * uniform
-        total = cont.sum()
-        self.cont_cdf = np.cumsum(cont / total) if total > 0 else self.start_cdf
+        self.cont_cdf = np.cumsum(cont / cont.sum())
         self.bigram_mass = b
         succ_rng = np.random.default_rng(spec.bigram_seed)
         self.successor = succ_rng.integers(lo, hi, size=spec.vocab_size).tolist()

@@ -17,14 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Sample, _read_only, bounded, check_fields
-from .errors import (
-    ColdOptimizer,
-    EmptyValidation,
-    KTooLarge,
-    NonFinite,
-    NonFiniteMetric,
-    NotAdam,
-)
+from .errors import EmptyValidation, KTooLarge, NonFinite, NonFiniteMetric
 from .model import (
     Checkpoint,
     ModelState,
@@ -278,23 +271,22 @@ def score_influence(
     Gradients are optionally Adam-preconditioned, then sketched with a seeded
     Rademacher projection. Under ``mean_gradient`` the target is the mean
     validation gradient; under ``max_cosine`` each pool sample takes its best
-    match over individual validation gradients.
+    match over individual validation gradients. Adam preconditioning raises
+    ``NotAdam`` or ``ColdOptimizer`` from ``adam_precondition`` on the first
+    gradient row when ``opt`` is not a warm Adam state.
 
     Scores repeat bitwise for a fixed BLAS thread count, not across thread
-    counts: the whole-pool matrix-vector product of ``_cosine_rows`` can
-    split its rows between threads and round them differently (with
-    OpenBLAS 0.3.31, a 149 x 4424 product differs between 1 and 2 threads,
-    2000 x 512 and 2000 x 26944 ones do not). ``tools/digests.py`` and the
-    benchmark pin BLAS to one thread.
+    counts: BLAS may split a product's rows between threads and round them
+    differently (with OpenBLAS 0.3.31, a 149 x 4424 matrix-vector product
+    differs between 1 and 2 threads, 2000 x 512 and 2000 x 26944 ones do
+    not). Importing ``dataflex`` sets ``OPENBLAS_NUM_THREADS``,
+    ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 where they are unset,
+    so scores repeat on any machine. A caller who sets one of those
+    variables, or who imports numpy before ``dataflex``, keeps their own
+    thread count, and with it scores that may differ from a one-thread run.
     """
     if len(val_set) == 0:
         raise EmptyValidation("influence scoring needs a non-empty validation set")
-    if params.preconditioning == "adam":
-        if opt.kind != "adam":
-            raise NotAdam("influence preconditioning='adam' requires an adam optimizer")
-        if opt.t < 1:
-            raise ColdOptimizer("influence preconditioning='adam' requires optimizer step t >= 1")
-
     proj = None
     if params.projection_dim is not None:
         proj = SignProjection(params.projection_dim, model.params.size, params.projection_seed)
@@ -433,7 +425,7 @@ def score_tsds(pool_embeddings, val_embeddings, params: TsdsParams = TsdsParams(
     d2_pool_val = np.maximum(pool_sq[:, None] - 2.0 * (pool_m @ val_m.T) + val_sq[None, :], 0.0)
     for j in range(val_m.shape[0]):
         col = d2_pool_val[:, j]
-        idx = np.argsort(col, kind="stable")[:params.max_K] if params.max_K < n else slice(None)
+        idx = np.argsort(col, kind="stable")[:params.max_K]
         mass[idx] += np.exp(-col[idx] * inv_two_sigma_sq)
 
     # Step 2: KDE density over pool neighbors for points that matter.
@@ -450,7 +442,6 @@ def score_tsds(pool_embeddings, val_embeddings, params: TsdsParams = TsdsParams(
                 density[i] = np.exp(-row[idx] * inv_two_sigma_sq).sum() / kde_k
 
     scores = params.tradeoff_alpha * mass / (1.0 + params.C * density) + (1.0 - params.tradeoff_alpha) * mass
-    scores[~needs_density] = 0.0
     ids = pool_ids if pool_ids is not None else np.arange(n)
     return ScoreVector(ids, scores, "tsds")
 

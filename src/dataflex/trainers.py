@@ -50,7 +50,7 @@ from .core import (
     params_from,
     validate_config,
 )
-from .errors import BadParams, DuplicateName, KTooLarge, UnknownComponent
+from .errors import BadParams, DuplicateName, KTooLarge, NotAdam, UnknownComponent
 from .evaluation import eval_per_domain
 from .mixers import (
     Component,
@@ -153,9 +153,15 @@ class InfluenceSelector:
         self.params = params
 
     def start(self, run):
-        """Reject a ``projection_dim`` above the model's parameter count before the run's first step."""
+        """Reject what the run rules out, before its first step.
+
+        That is a ``projection_dim`` above the model's parameter count, and
+        Adam preconditioning with an optimizer that is not Adam.
+        """
         if (self.params.projection_dim or 0) > run.model.params.size:
             raise BadParams(f"projection_dim must be <= the model's {run.model.params.size} parameters, got {self.params.projection_dim}")
+        if self.params.preconditioning == "adam" and run.opt.kind != "adam":
+            raise NotAdam("influence preconditioning='adam' requires an adam optimizer")
 
     def score(self, run) -> ScoreVector:
         return score_influence(run.model, run.opt, run.corpus.samples, run.val.samples, self.params)
@@ -404,7 +410,7 @@ class _Selection(Component):
     the reference's optimizer state, so a point's optimizer state is
     released once the next step has replaced it. A selector may also
     define ``start(run)``, called once before step 1 to reject what the
-    run's data rules out.
+    run's data, model or optimizer rules out.
     """
 
     def __init__(self, cfg: RunConfig, registry: ComponentRegistry):

@@ -17,10 +17,12 @@ from dataflex.errors import (
     BadParams,
     BadProportions,
     BadSimplex,
+    ColdOptimizer,
     KTooLarge,
     LengthMismatch,
     NonFinite,
     NonFiniteMetric,
+    NotAdam,
     ParseError,
     UnknownComponent,
 )
@@ -682,3 +684,103 @@ def test_mix_sim_row_of_another_width_exits_with_length_mismatch(tmp_path, capsy
     assert code == LengthMismatch.exit_code == 12
     assert err.splitlines() == ["LengthMismatch: each mix_sim row needs 2 entries, one per domain"]
     assert not out.exists()
+
+
+#: command -> the sections of a config that it runs to exit 0 on.
+RUNNABLE = {
+    "gen-data": {},
+    "score": {"dataflex": "  train_type: dynamic_select\n  component_name: random\n" + SCHEDULED},
+    "mix-sim": {"dataflex": "  component_name: static\n", "mix_sim": "  losses:\n    - [1.0, 2.0]\n"},
+}
+
+
+@pytest.mark.parametrize("flag", [["--max-steps", "1"], ["--eval-interval", "5"]], ids=["max_steps", "eval_interval"])
+@pytest.mark.parametrize("command", sorted(RUNNABLE))
+def test_step_flags_are_train_only(tmp_path, capsys, command, flag):
+    config = write_config(tmp_path, **RUNNABLE[command])
+    out = tmp_path / "out"
+    assert run_cli(capsys, command, config, str(out)) == (0, "")
+    out.unlink()
+    code, err = run_cli(capsys, command, config, str(out), *flag)
+    assert code == 2
+    assert err.splitlines()[-1] == f"dataflex-cli: error: unrecognized arguments: {' '.join(flag)}"
+    assert not out.exists()
+
+
+def test_train_step_flags_override_the_config(tmp_path, capsys):
+    config = write_config(tmp_path, train="  batch_size: 4\n  seed: 1\n  max_steps: 9\n  eval_interval: 3\n")
+    out = tmp_path / "out"
+    assert run_cli(capsys, "train", config, "--out-dir", str(out), "--max-steps", "4", "--eval-interval", "2") == (0, "")
+    assert [json.loads(line)["step"] for line in (out / "metrics.jsonl").read_text().splitlines()] == [2, 4]
+
+
+@pytest.mark.parametrize("command", ["train", "score"])
+def test_adam_preconditioning_on_sgd_exits_with_not_adam_before_any_step(tmp_path, capsys, train_steps, command):
+    config = write_config(tmp_path, train=BASE["train"] + "  optimizer: sgd\n", dataflex=LESS)
+    out = tmp_path / "out"
+    code, err = run_cli(capsys, command, config, *(["--out-dir", str(out)] if command == "train" else [str(out)]))
+    assert code == NotAdam.exit_code == 14
+    assert err.splitlines() == ["NotAdam: influence preconditioning='adam' requires an adam optimizer"]
+    assert train_steps == []
+
+
+@pytest.mark.parametrize("command", ["train", "score"])
+def test_adam_preconditioning_at_point_zero_exits_with_cold_optimizer(tmp_path, capsys, command):
+    config = write_config(tmp_path, dataflex=LESS.replace("warmup_step: 2", "warmup_step: 0"))
+    out = tmp_path / "out"
+    code, err = run_cli(capsys, command, config, *(["--out-dir", str(out)] if command == "train" else [str(out)]))
+    assert code == ColdOptimizer.exit_code == 15
+    assert err.splitlines() == ["ColdOptimizer: adam preconditioning needs at least one completed optimizer step"]
+
+
+def test_missing_config_file_exits_with_io_error(tmp_path, capsys):
+    code, err = run_cli(capsys, "train", str(tmp_path / "missing.yaml"), "--out-dir", str(tmp_path / "out"))
+    assert code == 25
+    assert err.splitlines() == [f"io error: [Errno 2] No such file or directory: '{tmp_path / 'missing.yaml'}'"]
+
+
+def test_missing_corpus_file_exits_with_io_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, data="  corpus: missing.jsonl\n  validation: val.jsonl\n")
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == 25
+    assert err.splitlines() == ["io error: [Errno 2] No such file or directory: 'missing.jsonl'"]
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ("  corpus: corpus.jsonl\n", "ParseError: data.corpus requires data.validation"),
+        ("  validation: val.jsonl\n", "ParseError: data section needs either 'corpus'/'validation' paths or a 'synthetic' block"),
+    ],
+)
+def test_data_section_without_a_source_exits_with_parse_error(tmp_path, capsys, monkeypatch, data, message):
+    monkeypatch.chdir(tmp_path)
+    corpus_data(tmp_path, GOOD_RECORD)
+    config = write_config(tmp_path, data=data)
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == ParseError.exit_code == 4
+    assert err.splitlines() == [message]
+
+
+def test_score_without_a_component_exits_with_parse_error(tmp_path, capsys):
+    code, err = run_cli(capsys, "score", write_config(tmp_path), str(tmp_path / "scores.jsonl"))
+    assert code == ParseError.exit_code
+    assert err.splitlines() == ["ParseError: score needs dataflex.component_name"]
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("model:\n\tvocab_size: 32\n", "line 2: tabs are not allowed in indentation"),
+        ("model:\n  vocab_size: 32\n  vocab_size: 16\n", "line 3: duplicate key 'vocab_size'"),
+        ("model:\n  vocab_size: 32\n    embed_dim: 6\n", "line 3: unexpected indentation of 4"),
+    ],
+    ids=["tab", "duplicate", "indentation"],
+)
+def test_malformed_config_text_exits_with_parse_error_naming_its_line(tmp_path, capsys, text, message):
+    config = tmp_path / "run.yaml"
+    config.write_text(text)
+    code, err = run_cli(capsys, "train", str(config), "--out-dir", str(tmp_path / "out"))
+    assert code == ParseError.exit_code
+    assert err.splitlines() == [f"ParseError: {message}"]

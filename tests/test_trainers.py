@@ -19,7 +19,8 @@ from dataflex.errors import BadParams, DuplicateName, UnknownComponent
 from dataflex import trainers
 from dataflex.fileio import metrics_digest
 from dataflex.mixers import sample_batch
-from dataflex.selectors import ScoreVector
+from dataflex.model import embed
+from dataflex.selectors import ScoreVector, TsdsParams, score_knn, score_tsds, select
 from dataflex.trainers import DEFAULT_REGISTRY, InfluenceSelector, OdmMixer, _builtin_factory
 
 ARCH = ModelCfg(vocab_size=64, embed_dim=12, hidden_dim=16)
@@ -291,3 +292,36 @@ class TestComponentPurity:
         with pytest.raises(RuntimeError, match="mutated"):
             run_training(cfg, corpus, val, registry=reg)
 
+
+class TestEmbeddingSelectors:
+    """``near`` and ``tsds`` score embeddings taken with the model of their run's first point."""
+
+    @pytest.mark.parametrize(
+        "name,params,score",
+        [
+            ("near", {"k": 5}, lambda pool_m, val_m, ids: score_knn(pool_m, val_m, 5, pool_ids=ids)),
+            (
+                "tsds",
+                {"max_k": 50, "kde_k": 10},
+                lambda pool_m, val_m, ids: score_tsds(pool_m, val_m, TsdsParams(max_K=50, kde_K=10), pool_ids=ids),
+            ),
+        ],
+    )
+    def test_both_points_score_the_embeddings_of_the_first(self, name, params, score):
+        _, corpus, val = small_setup()
+        cfg = cfg_for("dynamic_select", name, Schedule(10, 10, 2), {"ratio": 0.5, **params}, max_steps=20)
+        result = run_training(cfg, corpus, val)
+        first, second = result.selections
+        ids = np.array([s.id for s in corpus.samples])
+
+        def scores_under(model):
+            pool_m = np.stack([embed(model, s) for s in corpus.samples])
+            val_m = np.stack([embed(model, s) for s in val.samples])
+            return score(pool_m, val_m, ids)
+
+        # A select run's warmup draws the batches of a static run at the same seed.
+        at_first_point = scores_under(run_training(cfg_for("static", max_steps=10), corpus, val).model)
+        assert first.scores.scores.tobytes() == at_first_point.scores.tobytes()
+        assert list(first.ids) == select(at_first_point, 120)
+        assert second.scores.scores.tobytes() == first.scores.scores.tobytes()
+        assert scores_under(result.model).scores.tobytes() != first.scores.scores.tobytes()

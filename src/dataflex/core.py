@@ -349,6 +349,11 @@ class ModelCfg:
         check_fields(self)
 
 
+#: The most samples a batch may draw; ``sample_batch`` allocates its draws
+#: before any sample is read, so a larger ``batch_size`` is refused at parse.
+MAX_BATCH_SIZE = 2**16
+
+
 @dataclass(frozen=True)
 class OptimCfg:
     kind: str = bounded("adam", choices=("sgd", "adam"))
@@ -356,7 +361,7 @@ class OptimCfg:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    batch_size: int = bounded(8, ge=1)
+    batch_size: int = bounded(8, ge=1, le=MAX_BATCH_SIZE)
 
     def __post_init__(self):
         check_fields(self)
@@ -437,7 +442,7 @@ class MetricsRecord:
         object.__setattr__(self, "mixture", tuple(float(x) for x in self.mixture))
         values = [v for _, v in self.per_domain_val_loss]
         if not all(np.isfinite(v) for v in values) or not np.isfinite(self.overall_val_loss):
-            raise NonFinite("metrics record contains non-finite losses")
+            raise NonFinite(f"step {self.step}: metrics record contains non-finite losses")
 
 
 def id_set_digest(ids: Iterable[int]) -> int:

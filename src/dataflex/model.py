@@ -312,6 +312,17 @@ def per_sample_gradient(
     return _backward(table, s.token_ids, rows, np.empty_like(model.params) if out is None else out)
 
 
+def embedding_columns(arch: ModelCfg, s: Sample) -> np.ndarray:
+    """The flat columns of the embedding rows of ``s``'s distinct input tokens, ascending.
+
+    They are the only columns of the embedding block (the first ``V*E``)
+    that ``s``'s gradient can make non-zero: ``_backward`` zeroes the block
+    and adds into the rows of the input tokens alone.
+    """
+    e = arch.embed_dim
+    return (np.unique(s.token_ids[:-1])[:, None] * e + np.arange(e)).ravel()
+
+
 def embed(model: ModelState, s: Sample) -> np.ndarray:
     """Sentence embedding: the read-only mean hidden activation over all token positions."""
     if int(s.token_ids.max()) >= model.arch.vocab_size:
@@ -375,7 +386,9 @@ def train_step(
     reproduce the unweighted step bitwise, and a function ``f`` the step
     with fixed weights ``f(batch_losses(model, batch))``. The table is
     dropped before the optimizer update, and the new states take ownership
-    of the arrays the update builds instead of copying them.
+    of the arrays the update builds instead of copying them. An update that
+    leaves a parameter non-finite (a diverged run) raises ``NonFinite``
+    naming the step, ``opt.t + 1``.
 
     Returns ``(model', opt', weighted_mean_loss)``.
     """
@@ -384,12 +397,15 @@ def train_step(
     grad, wloss = _weighted_gradient(model, batch, weights)
     lr = opt.hyper.learning_rate
     if opt.kind == "sgd":
-        return sgd_step(model, lr, grad), dataclasses.replace(opt, t=opt.t + 1), wloss
-    m, v, m_hat, denom = _adam_moments(grad, opt, out=grad)
-    step = np.multiply(m_hat, lr, out=m_hat)  # lr * m_hat / denom, left to right
-    step /= denom
-    new_model = ModelState(model.arch, model.params - step, owned=True)
-    return new_model, OptimizerState("adam", opt.hyper, m, v, opt.t + 1, owned=True), wloss
+        params, new_opt = model.params - lr * grad, dataclasses.replace(opt, t=opt.t + 1)
+    else:
+        m, v, m_hat, denom = _adam_moments(grad, opt, out=grad)
+        step = np.multiply(m_hat, lr, out=m_hat)  # lr * m_hat / denom, left to right
+        step /= denom
+        params, new_opt = model.params - step, OptimizerState("adam", opt.hyper, m, v, opt.t + 1, owned=True)
+    if not np.all(np.isfinite(params)):
+        raise NonFinite(f"step {new_opt.t} left non-finite model parameters (learning_rate {lr!r})")
+    return ModelState(model.arch, params, owned=True), new_opt, wloss
 
 
 def _adam_moments(grad: np.ndarray, opt: OptimizerState, out: np.ndarray):

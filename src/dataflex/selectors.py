@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,6 +25,7 @@ from .model import (
     _forward,
     adam_precondition,
     batch_losses,
+    embedding_columns,
     per_sample_gradient,
     sgd_step,
     token_table,
@@ -134,6 +135,12 @@ class SignProjection:
     every block, unpacking ``_UNPACK_ROWS`` rows at a time, so per block
     it allocates no float signs and at most ``_UNPACK_ROWS * dim_out``
     bytes of unpacked bits.
+
+    The rows are an array, whose column blocks are read as views, or a
+    ``_SketchRows``. A block of the latter past the embedding is a view of
+    its dense columns; one that overlaps the embedding is filled into one
+    ``(rows, _SIGN_BLOCK)`` buffer, held for the call. BLAS gives that
+    contiguous operand the product bits of the strided view it replaces.
     """
 
     def __init__(self, dim_out: int, dim_in: int, seed: int):
@@ -141,22 +148,72 @@ class SignProjection:
         self.dim_in = dim_in
         self.seed = seed
 
-    def project(self, mat: np.ndarray) -> np.ndarray:
-        mat = np.atleast_2d(mat)
+    def project(self, mat) -> np.ndarray:
+        sketched = isinstance(mat, _SketchRows)
+        if not sketched:
+            mat = np.atleast_2d(mat)
         if mat.shape[1] != self.dim_in:
             raise ValueError(f"expected {self.dim_in} columns, got {mat.shape[1]}")
         out = np.zeros((mat.shape[0], self.dim_out))
         blocks = _sign_blocks(self.seed, self.dim_in, self.dim_out)
         buf = np.empty((min(_SIGN_BLOCK, self.dim_in), self.dim_out))
+        part = np.empty((mat.shape[0], min(_SIGN_BLOCK, self.dim_in))) if sketched else None
         for start, packed in zip(range(0, self.dim_in, _SIGN_BLOCK), blocks):
             signs = buf[: packed.shape[0]]
             for row in range(0, packed.shape[0], _UNPACK_ROWS):
                 bits = np.unpackbits(packed[row:row + _UNPACK_ROWS], axis=1, count=self.dim_out)
                 np.multiply(bits, 2.0, out=signs[row:row + _UNPACK_ROWS])
             signs -= 1.0
-            out += mat[:, start:start + packed.shape[0]] @ signs
+            stop = start + packed.shape[0]
+            out += (mat.columns(start, stop, part) if sketched else mat[:, start:stop]) @ signs
         out /= np.sqrt(self.dim_out)
         return out
+
+
+class _SketchRows:
+    """Gradient rows that do not store the embedding columns they leave untouched.
+
+    A sample's gradient is +0.0 in every embedding column outside
+    ``embedding_columns``, so after preconditioning each such column holds
+    the same value in every row, ``untouched``: Adam's direction at a zero
+    gradient, or 0. A row keeps its columns past the embedding in its row
+    of ``dense``, and each touched embedding column as one entry of
+    ``owner`` (its row), ``cols`` and ``vals``, in the order stored.
+    ``columns`` gives back any column range bit for bit. The four buffers
+    are the caller's, allocated once and refilled by every chunk, so a
+    chunk's rows make no allocation that outlives them.
+    """
+
+    def __init__(self, dense: np.ndarray, owner: np.ndarray, cols: np.ndarray, vals: np.ndarray, untouched: np.ndarray):
+        self.dense, self.owner, self.cols, self.vals, self.untouched = dense, owner, cols, vals, untouched
+        self.rows = self.entries = 0
+
+    @property
+    def shape(self) -> tuple:
+        return self.dense.shape[0], self.untouched.size + self.dense.shape[1]
+
+    def append(self, row: np.ndarray, cols: np.ndarray) -> None:
+        """Store the next gradient ``row``, whose touched embedding columns are ``cols``."""
+        lo, hi = self.entries, self.entries + cols.size
+        self.dense[self.rows] = row[self.untouched.size:]
+        self.owner[lo:hi] = self.rows
+        self.cols[lo:hi] = cols
+        np.take(row, cols, out=self.vals[lo:hi])
+        self.rows, self.entries = self.rows + 1, hi
+
+    def columns(self, start: int, stop: int, part: np.ndarray) -> np.ndarray:
+        """Columns ``start:stop``: a view of ``dense``, or filled into the first columns of ``part``."""
+        n_emb = self.untouched.size
+        if start >= n_emb:
+            return self.dense[:, start - n_emb:stop - n_emb]
+        part = part[:, :stop - start]
+        mid = min(stop, n_emb)
+        part[:, :mid - start] = self.untouched[start:mid]
+        cols = self.cols[:self.entries]
+        hit = (cols >= start) & (cols < mid)
+        part[self.owner[:self.entries][hit], cols[hit] - start] = self.vals[:self.entries][hit]
+        part[:, mid - start:] = self.dense[:, :stop - mid]
+        return part
 
 
 def _pool_ids(pool: Sequence[Sample]) -> np.ndarray:
@@ -193,39 +250,77 @@ def _delta_loss(model: ModelState, ref_model: ModelState, pool: Sequence[Sample]
     return ScoreVector(_pool_ids(pool), scores, "delta_loss")
 
 
+def _untouched_embedding(model: ModelState, opt: OptimizerState, preconditioning: str) -> np.ndarray:
+    """The value of every embedding column that a gradient row leaves untouched.
+
+    Its gradient is +0.0, and Adam's direction is element-wise, so under
+    ``adam`` it is that of a zero gradient, from the column's own moments.
+    """
+    n_emb = model.unpack()[0].size
+    if preconditioning == "none":
+        return np.zeros(n_emb)
+    return adam_precondition(np.zeros(model.params.size), opt)[:n_emb]
+
+
 def _gradient_rows(
     model: ModelState,
     samples: Sequence[Sample],
     opt: OptimizerState,
     preconditioning: str,
     proj: Optional[SignProjection],
+    untouched: Optional[Callable[[], np.ndarray]] = None,
 ) -> np.ndarray:
     """Per-sample (optionally preconditioned, optionally sketched) gradients.
 
     The samples are taken ``_GRAD_CHUNK`` at a time, read from one
     ``token_table`` per chunk. ``per_sample_gradient`` writes each gradient
-    into its row block by block, and the row is preconditioned there in
-    place, so no row is copied. Unsketched rows are rows of the result.
-    Sketched ones are rows of one ``(_GRAD_CHUNK, P)`` buffer, projected a
-    chunk at a time once the chunk's table is released. The chunks are not
-    stacked into one product: BLAS may round a row differently when the
-    product has a different number of rows, so the chunk size is part of
-    the scores.
+    into a row block by block, and the row is preconditioned there in
+    place. Unsketched rows are rows of the result. A sketched row is
+    written into one scratch row and stored in the chunk's ``_SketchRows``:
+    its columns past the embedding in one ``(_GRAD_CHUNK, P - V*E)`` block,
+    and only the embedding columns it touches, with their rows and values,
+    in buffers sized for the largest chunk, beside ``untouched()``, the
+    value every other embedding column holds (``_untouched_embedding``
+    unless given). All the buffers are allocated once: per-row arrays that
+    live for a chunk fragmented the heap around the projection's buffers,
+    and the process kept up to 7 MB more. ``untouched`` is first called after
+    the first chunk's table is built, so ``TooShort`` comes before
+    ``ColdOptimizer``. Each chunk is projected once its table is released.
+    The chunks are not stacked into one product: BLAS may round a row
+    differently when the product has a different number of rows, so the
+    chunk size is part of the scores.
     """
     n = len(samples)
-    out = np.empty((n, model.params.size if proj is None else proj.dim_out))
-    block = None if proj is None else np.empty((min(n, _GRAD_CHUNK), model.params.size))
+    if proj is None:
+        out = np.empty((n, model.params.size))
+    else:
+        out = np.empty((n, proj.dim_out))
+        n_emb = model.unpack()[0].size
+        dense = np.empty((min(n, _GRAD_CHUNK), model.params.size - n_emb))
+        # A sample touches E columns per distinct input token, of which it has at most min(len - 1, V).
+        v, e = model.arch.vocab_size, model.arch.embed_dim
+        per_chunk = [sum(min(len(s) - 1, v) for s in samples[i:i + _GRAD_CHUNK]) for i in range(0, n, _GRAD_CHUNK)]
+        touched = e * max(per_chunk, default=0)
+        owner, cols = np.empty((2, touched), dtype=np.int32)  # V*E <= MAX_MODEL_PARAMS < 2**31
+        vals = np.empty(touched)
+        scratch = np.empty(model.params.size)
+        if untouched is None:
+            untouched = cache(lambda: _untouched_embedding(model, opt, preconditioning))
     for start in range(0, n, _GRAD_CHUNK):
         chunk = samples[start:start + _GRAD_CHUNK]
-        rows = (out[start:] if proj is None else block)[: len(chunk)]
         table = token_table(model, chunk)
-        for row, s in zip(rows, chunk):
+        if proj is not None:
+            sketch = _SketchRows(dense[: len(chunk)], owner, cols, vals, untouched())
+        for i, s in enumerate(chunk):
+            row = out[start + i] if proj is None else scratch
             per_sample_gradient(model, s, out=row, table=table)
             if preconditioning == "adam":
                 adam_precondition(row, opt, out=row)
+            if proj is not None:
+                sketch.append(row, embedding_columns(model.arch, s))
         del table
         if proj is not None:
-            out[start:start + len(chunk)] = proj.project(rows)
+            out[start:start + len(chunk)] = proj.project(sketch)
     return out
 
 
@@ -272,8 +367,8 @@ def score_influence(
     Rademacher projection. Under ``mean_gradient`` the target is the mean
     validation gradient; under ``max_cosine`` each pool sample takes its best
     match over individual validation gradients. Adam preconditioning raises
-    ``NotAdam`` or ``ColdOptimizer`` from ``adam_precondition`` on the first
-    gradient row when ``opt`` is not a warm Adam state.
+    ``NotAdam`` or ``ColdOptimizer`` from ``adam_precondition`` once the
+    pool's first chunk is checked, when ``opt`` is not a warm Adam state.
 
     Scores repeat bitwise for a fixed BLAS thread count, not across thread
     counts: BLAS may split a product's rows between threads and round them
@@ -291,8 +386,10 @@ def score_influence(
     if params.projection_dim is not None:
         proj = SignProjection(params.projection_dim, model.params.size, params.projection_seed)
 
-    pool_g = _gradient_rows(model, pool, opt, params.preconditioning, proj)
-    val_g = _gradient_rows(model, val_set, opt, params.preconditioning, proj)
+    # One untouched-column row for both calls, built on the pool's first chunk.
+    untouched = cache(lambda: _untouched_embedding(model, opt, params.preconditioning))
+    pool_g = _gradient_rows(model, pool, opt, params.preconditioning, proj, untouched)
+    val_g = _gradient_rows(model, val_set, opt, params.preconditioning, proj, untouched)
 
     if params.aggregation == "mean_gradient":
         scores = _cosine_rows(pool_g, val_g.mean(axis=0))

@@ -331,19 +331,20 @@ class _Run:
         for step in range(steps + 1):
             if step > 0:
                 batch, _ = sample_batch(self.policy, self.pool, cfg.optim_cfg.batch_size, self.rng_sample)
-                self.model, self.opt, loss = component.step(self, batch, step)
-                if self.val is not None and step % cfg.eval_interval == 0:
-                    ev = eval_per_domain(self.model, self.val)
-                    self.result.metrics.append(
-                        MetricsRecord(
-                            step=step,
-                            train_loss=loss,
-                            per_domain_val_loss=ev.per_domain,
-                            overall_val_loss=ev.overall,
-                            mixture=tuple(self.policy.weights),
-                            active_selection_digest=self.digest,
+                with np.errstate(over="ignore", invalid="ignore"):  # a diverged step or eval raises NonFinite
+                    self.model, self.opt, loss = component.step(self, batch, step)
+                    if self.val is not None and step % cfg.eval_interval == 0:
+                        ev = eval_per_domain(self.model, self.val)
+                        self.result.metrics.append(
+                            MetricsRecord(
+                                step=step,
+                                train_loss=loss,
+                                per_domain_val_loss=ev.per_domain,
+                                overall_val_loss=ev.overall,
+                                mixture=tuple(self.policy.weights),
+                                active_selection_digest=self.digest,
+                            )
                         )
-                    )
             if step in points:
                 guard = state_digest(self.model, self.opt)
                 component.fire(self, step)

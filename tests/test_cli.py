@@ -10,9 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
-from dataflex import MixtureWeights, build_domain_specs, empirical_proportions, generate_corpus, make_validation
+from dataflex import MixtureWeights, OptimCfg, build_domain_specs, empirical_proportions, generate_corpus, make_validation
 from dataflex import cli, mixers, selectors, weighters
 from dataflex.cli import main
+from dataflex.core import MAX_BATCH_SIZE
 from dataflex.errors import (
     BadParams,
     BadProportions,
@@ -784,3 +785,36 @@ def test_malformed_config_text_exits_with_parse_error_naming_its_line(tmp_path, 
     code, err = run_cli(capsys, "train", str(config), "--out-dir", str(tmp_path / "out"))
     assert code == ParseError.exit_code
     assert err.splitlines() == [f"ParseError: {message}"]
+
+
+@pytest.mark.parametrize(
+    "optimizer,eval_interval,message",
+    [
+        ("adam", 2, "step 2 left non-finite model parameters (learning_rate 1e+308)"),
+        ("sgd", 4, "step 3 left non-finite model parameters (learning_rate 1e+308)"),
+        ("adam", 1, "step 1: metrics record contains non-finite losses"),
+    ],
+    ids=["adam", "sgd", "eval"],
+)
+def test_a_diverged_run_exits_with_non_finite_naming_the_step(tmp_path, capsys, optimizer, eval_interval, message):
+    train = f"  optimizer: {optimizer}\n  learning_rate: 1e308\n  batch_size: 4\n  seed: 1\n  max_steps: 4\n  eval_interval: {eval_interval}\n"
+    config = write_config(tmp_path, train=train)
+    code, err = run_cli(capsys, "train", config, "--out-dir", str(tmp_path / "out"))
+    assert code == NonFinite.exit_code == 19
+    assert err.splitlines() == [f"NonFinite: {message}"]
+
+
+@pytest.mark.parametrize("command", ["train", "gen-data", "score"])
+def test_batch_size_over_the_bound_exits_with_bad_params_at_parse(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "build_domain_specs", lambda *args, **kwargs: pytest.fail("domains built before the check"))
+    config = write_config(tmp_path, train="  batch_size: 100000000000\n  seed: 1\n  max_steps: 4\n  eval_interval: 2\n")
+    out = ["--out-dir", str(tmp_path / "out")] if command == "train" else [str(tmp_path / "out.jsonl")]
+    code, err = run_cli(capsys, command, config, *out)
+    assert code == BadParams.exit_code == 18
+    assert err.splitlines() == [f"BadParams: batch_size must lie in [1, {MAX_BATCH_SIZE}], got 100000000000"]
+
+
+def test_batch_size_bound_holds_its_endpoint():
+    assert OptimCfg(batch_size=MAX_BATCH_SIZE).batch_size == MAX_BATCH_SIZE
+    with pytest.raises(BadParams, match="^batch_size must lie in"):
+        OptimCfg(batch_size=MAX_BATCH_SIZE + 1)

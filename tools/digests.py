@@ -20,6 +20,9 @@ that the paths and printed lines are relative to. The set:
   ``mean_length: 2`` config, which pin the corpus generator directly;
 - ``train`` on that ``mean_length: 2`` config, whose one-position samples
   take the model's one-row products through training and evaluation;
+- ``train`` and ``score`` with ``less`` on a V=64, E=40 model, whose
+  embedding (2560 parameters) ends inside the second of the sketch's two
+  sign blocks (3464 parameters in all);
 - ``mix-sim`` on doremi ``lambdas``, doremi proxy/reference losses, odm,
   static and random;
 - every ``--help``.
@@ -125,6 +128,11 @@ def runs():
     shortest = small_config().replace("    val_size: 12\n", "    val_size: 12\n    mean_length: 2\n")
     yield "gen_data_mean_length_2", shortest, ["gen-data", "run.yaml", "corpus.jsonl"]
     yield "train_mean_length_2", shortest, ["train", "run.yaml", "--out-dir", "out"]
+    straddling = small_config("dynamic_select", "less", params={"projection_dim": 64}).replace(
+        "  vocab_size: 32\n  embed_dim: 6\n", "  vocab_size: 64\n  embed_dim: 40\n"
+    )
+    yield "selector_less_straddling", straddling, ["train", "run.yaml", "--out-dir", "out"]
+    yield "score_less_straddling", straddling, ["score", "run.yaml", "scores.jsonl"]
     for run, (name, body) in MIX_SIM.items():
         yield f"mix_sim_{run}", small_config(name=name) + "mix_sim:\n" + body, ["mix-sim", "run.yaml", "trajectory.jsonl"]
     for command in ("", "train", "gen-data", "score", "mix-sim"):

@@ -34,8 +34,8 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 _GRAD_CHUNK = 128
-_SIGN_BLOCK = 2048  # input coordinates (sign-matrix rows) per cached block
-_UNPACK_ROWS = 256  # sign-matrix rows drawn, or unpacked into the float buffer, at a time; even
+_SIGN_BLOCK = 512  # input coordinates (sign-matrix rows) per cached block
+_UNPACK_ROWS = _SIGN_BLOCK  # sign-matrix rows drawn, or unpacked into the float buffer, at a time; even
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,42 +99,36 @@ class TsdsParams:
 def _sign_blocks(seed: int, dim_in: int, dim_out: int) -> tuple:
     """The Rademacher sign matrix (dim_in x dim_out) as bit-packed row blocks.
 
-    Drawn once per (seed, dim_in, dim_out), in ``_SIGN_BLOCK``-row blocks
-    from one generator, in order; a set bit is +1. Each block is stored
-    ``np.packbits``-ed along its rows (dim_out / 8 bytes per row) and
-    read-only, so the cache costs 1/64 of the float matrix.
+    Drawn once per (seed, dim_in, dim_out), one ``_SIGN_BLOCK``-row block
+    per draw from one generator, in order; a set bit is +1. Each block is
+    stored ``np.packbits``-ed along its rows (dim_out / 8 bytes per row)
+    and read-only, so the cache costs 1/64 of the float matrix, and a
+    build holds one block of int64 draws.
 
-    A block is drawn ``_UNPACK_ROWS`` rows at a time, each slice packed into
-    the block as it is drawn, so a build holds one slice of int64 draws and
-    never a whole block. The bits are those of one whole-block draw:
-    numpy's bounded-integer fill spends one 32-bit half of a 64-bit word per
-    value and drops an unused half only at the end of a call, and every
-    slice but a block's last draws ``_UNPACK_ROWS * dim_out`` values. That
-    count is even only while ``_UNPACK_ROWS`` is, so it must stay even.
+    The bits do not depend on the block size: numpy's bounded-integer fill
+    spends one 32-bit half of a 64-bit word per value and drops an unused
+    half only at the end of a call, and every draw but the last holds
+    ``_SIGN_BLOCK * dim_out`` values. That count is even only while
+    ``_SIGN_BLOCK`` (``_UNPACK_ROWS``) is, so it must stay even.
     """
     rng = np.random.default_rng(seed)
-    blocks = []
-    for start in range(0, dim_in, _SIGN_BLOCK):
-        block = np.empty((min(_SIGN_BLOCK, dim_in - start), (dim_out + 7) // 8), dtype=np.uint8)
-        for row in range(0, block.shape[0], _UNPACK_ROWS):
-            rows = block[row:row + _UNPACK_ROWS]
-            rows[:] = np.packbits(rng.integers(0, 2, size=(rows.shape[0], dim_out)), axis=1)
-        blocks.append(_read_only(block))
-    return tuple(blocks)
+    return tuple(
+        _read_only(np.packbits(rng.integers(0, 2, size=(min(_SIGN_BLOCK, dim_in - start), dim_out)), axis=1))
+        for start in range(0, dim_in, _SIGN_BLOCK)
+    )
 
 
 class SignProjection:
     """Seeded Rademacher sketch, applied block-wise over input coordinates.
 
     The sign matrix is drawn once per (seed, dim_in, dim_out) and cached
-    bit-packed (``_sign_blocks``, which draws and packs ``_UNPACK_ROWS``
-    rows at a time); each call unpacks one block of rows at a time to ±1.0
-    and accumulates its product in block order, so projecting is a
-    deterministic function of (seed, dim_in, dim_out). A call holds one
-    ``(_SIGN_BLOCK, dim_out)`` float buffer and refills it in place for
-    every block, unpacking ``_UNPACK_ROWS`` rows at a time, so per block
-    it allocates no float signs and at most ``_UNPACK_ROWS * dim_out``
-    bytes of unpacked bits.
+    bit-packed (``_sign_blocks``, one draw per block); each call unpacks
+    one whole block at a time to ±1.0 and accumulates its product in block
+    order, so projecting is a deterministic function of (seed, dim_in,
+    dim_out). A call holds one ``(_SIGN_BLOCK, dim_out)`` float buffer and
+    refills it in place for every block, so per block it allocates no
+    float signs and ``_SIGN_BLOCK * dim_out`` bytes of unpacked bits. The
+    block size sets only how BLAS groups each row's sum, not the signs.
 
     The rows are an array, whose column blocks are read as views, or a
     ``_SketchRows``. A block of the latter past the embedding is a view of
@@ -160,9 +154,7 @@ class SignProjection:
         part = np.empty((mat.shape[0], min(_SIGN_BLOCK, self.dim_in))) if sketched else None
         for start, packed in zip(range(0, self.dim_in, _SIGN_BLOCK), blocks):
             signs = buf[: packed.shape[0]]
-            for row in range(0, packed.shape[0], _UNPACK_ROWS):
-                bits = np.unpackbits(packed[row:row + _UNPACK_ROWS], axis=1, count=self.dim_out)
-                np.multiply(bits, 2.0, out=signs[row:row + _UNPACK_ROWS])
+            np.multiply(np.unpackbits(packed, axis=1, count=self.dim_out), 2.0, out=signs)
             signs -= 1.0
             stop = start + packed.shape[0]
             out += (mat.columns(start, stop, part) if sketched else mat[:, start:stop]) @ signs
@@ -179,7 +171,9 @@ class _SketchRows:
     gradient, or 0. A row keeps its columns past the embedding in its row
     of ``dense``, and each touched embedding column as one entry of
     ``owner`` (its row), ``cols`` and ``vals``, in the order stored.
-    ``columns`` gives back any column range bit for bit. The four buffers
+    ``columns`` gives back any column range bit for bit; ``project`` asks
+    for one whole sign block per call, and a block that overlaps the
+    embedding costs one mask over all the chunk's entries. The four buffers
     are the caller's, allocated once and refilled by every chunk, so a
     chunk's rows make no allocation that outlives them.
     """

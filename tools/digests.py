@@ -21,8 +21,9 @@ that the paths and printed lines are relative to. The set:
 - ``train`` on that ``mean_length: 2`` config, whose one-position samples
   take the model's one-row products through training and evaluation;
 - ``train`` and ``score`` with ``less`` on a V=64, E=40 model, whose
-  embedding (2560 parameters) ends inside the second of the sketch's two
-  sign blocks (3464 parameters in all);
+  embedding (2560 of 3464 parameters) fills five whole 512-row sign
+  blocks, and on a V=64, E=36 model, whose embedding (2304 of 3176) ends
+  inside the fifth block (``LESS_SHAPES``);
 - ``mix-sim`` on doremi ``lambdas``, doremi proxy/reference losses, odm,
   static and random;
 - every ``--help``.
@@ -87,6 +88,8 @@ VARIANTS = {
     ("mixer", "doremi"): [{"ref_steps": 6}],
     ("weighter", "loss"): [{"strategy": kind} for kind in ("uniform", "linear", "softmax")],
 }
+#: run suffix -> (vocab_size, embed_dim) of a ``less`` pair on the small config.
+LESS_SHAPES = {"straddling": (64, 40), "mid_block": (64, 36)}
 TRAIN_TYPES = {"selector": "dynamic_select", "mixer": "dynamic_mix", "weighter": "dynamic_weight"}
 
 LOSS_ROWS = "  losses:\n    - [2.0, null, 3.0]\n    - [1.9, 2.4, 2.8]\n"
@@ -128,11 +131,12 @@ def runs():
     shortest = small_config().replace("    val_size: 12\n", "    val_size: 12\n    mean_length: 2\n")
     yield "gen_data_mean_length_2", shortest, ["gen-data", "run.yaml", "corpus.jsonl"]
     yield "train_mean_length_2", shortest, ["train", "run.yaml", "--out-dir", "out"]
-    straddling = small_config("dynamic_select", "less", params={"projection_dim": 64}).replace(
-        "  vocab_size: 32\n  embed_dim: 6\n", "  vocab_size: 64\n  embed_dim: 40\n"
-    )
-    yield "selector_less_straddling", straddling, ["train", "run.yaml", "--out-dir", "out"]
-    yield "score_less_straddling", straddling, ["score", "run.yaml", "scores.jsonl"]
+    for suffix, (vocab, embed) in LESS_SHAPES.items():
+        config = small_config("dynamic_select", "less", params={"projection_dim": 64}).replace(
+            "  vocab_size: 32\n  embed_dim: 6\n", f"  vocab_size: {vocab}\n  embed_dim: {embed}\n"
+        )
+        yield f"selector_less_{suffix}", config, ["train", "run.yaml", "--out-dir", "out"]
+        yield f"score_less_{suffix}", config, ["score", "run.yaml", "scores.jsonl"]
     for run, (name, body) in MIX_SIM.items():
         yield f"mix_sim_{run}", small_config(name=name) + "mix_sim:\n" + body, ["mix-sim", "run.yaml", "trajectory.jsonl"]
     for command in ("", "train", "gen-data", "score", "mix-sim"):

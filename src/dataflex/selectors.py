@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .model import (
     Checkpoint,
     ModelState,
     OptimizerState,
+    _check_sample,
     _forward,
     adam_precondition,
     batch_losses,
@@ -256,39 +257,46 @@ def _untouched_embedding(model: ModelState, opt: OptimizerState, preconditioning
     return adam_precondition(np.zeros(model.params.size), opt)[:n_emb]
 
 
-def _gradient_rows(
+def _gradient_chunks(
     model: ModelState,
     samples: Sequence[Sample],
     opt: OptimizerState,
     preconditioning: str,
     proj: Optional[SignProjection],
     untouched: Optional[Callable[[], np.ndarray]] = None,
-) -> np.ndarray:
-    """Per-sample (optionally preconditioned, optionally sketched) gradients.
+    out: Optional[np.ndarray] = None,
+) -> Iterator[tuple]:
+    """Per-sample (optionally preconditioned, optionally sketched) gradients, a chunk at a time.
 
     The samples are taken ``_GRAD_CHUNK`` at a time, read from one
     ``token_table`` per chunk. ``per_sample_gradient`` writes each gradient
     into a row block by block, and the row is preconditioned there in
-    place. Unsketched rows are rows of the result. A sketched row is
-    written into one scratch row and stored in the chunk's ``_SketchRows``:
-    its columns past the embedding in one ``(_GRAD_CHUNK, P - V*E)`` block,
-    and only the embedding columns it touches, with their rows and values,
-    in buffers sized for the largest chunk, beside ``untouched()``, the
-    value every other embedding column holds (``_untouched_embedding``
-    unless given). All the buffers are allocated once: per-row arrays that
-    live for a chunk fragmented the heap around the projection's buffers,
-    and the process kept up to 7 MB more. ``untouched`` is first called after
-    the first chunk's table is built, so ``TooShort`` comes before
-    ``ColdOptimizer``. Each chunk is projected once its table is released.
-    The chunks are not stacked into one product: BLAS may round a row
-    differently when the product has a different number of rows, so the
-    chunk size is part of the scores.
+    place. Unsketched rows are the rows of ``out``, an ``(n, P)`` matrix,
+    and nothing is yielded. A sketched row is written into one scratch row
+    and stored in the chunk's ``_SketchRows``: its columns past the
+    embedding in one ``(_GRAD_CHUNK, P - V*E)`` block, and only the
+    embedding columns it touches, with their rows and values, in buffers
+    sized for the largest chunk, beside ``untouched()``, the value every
+    other embedding column holds (``_untouched_embedding`` unless given).
+    All the buffers are allocated once: per-row arrays that live for a
+    chunk fragmented the heap around the projection's buffers, and the
+    process kept up to 7 MB more. ``untouched`` is first called after the
+    first chunk's table is built, so ``TooShort`` comes before
+    ``ColdOptimizer``. Each chunk is projected once its table is released,
+    and ``(start, rows)`` is yielded: its first sample's index and its
+    ``(len(chunk), dim_out)`` sketch, which the caller may keep.
+
+    On one thread with OpenBLAS 0.3.31, a product of two or more rows gives
+    each row the same bits whatever its number of rows: the bench
+    ``select_less`` scores are byte-identical at 64-, 80-, 96- and 128-row
+    chunks. A one-row product takes numpy's dot path and rounds otherwise.
+    So each chunk is projected on its own, a one-row last chunk included
+    (a 129-sample pool's width-64 scores move at 80- and 96-row chunks,
+    which project that sample with others), and a one-row last chunk is
+    yielded together with the chunk before it, for the caller's products.
     """
     n = len(samples)
-    if proj is None:
-        out = np.empty((n, model.params.size))
-    else:
-        out = np.empty((n, proj.dim_out))
+    if proj is not None:
         n_emb = model.unpack()[0].size
         dense = np.empty((min(n, _GRAD_CHUNK), model.params.size - n_emb))
         # A sample touches E columns per distinct input token, of which it has at most min(len - 1, V).
@@ -300,6 +308,7 @@ def _gradient_rows(
         scratch = np.empty(model.params.size)
         if untouched is None:
             untouched = cache(lambda: _untouched_embedding(model, opt, preconditioning))
+    held = None
     for start in range(0, n, _GRAD_CHUNK):
         chunk = samples[start:start + _GRAD_CHUNK]
         table = token_table(model, chunk)
@@ -313,8 +322,30 @@ def _gradient_rows(
             if proj is not None:
                 sketch.append(row, embedding_columns(model.arch, s))
         del table
-        if proj is not None:
-            out[start:start + len(chunk)] = proj.project(sketch)
+        if proj is None:
+            continue
+        rows = proj.project(sketch)
+        if start + len(chunk) == n - 1:  # the next chunk is one row
+            held = rows
+        elif held is not None:
+            yield start - len(held), np.concatenate((held, rows))
+        else:
+            yield start, rows
+        del rows  # hold no projected chunk while the next one is made
+
+
+def _gradient_rows(
+    model: ModelState,
+    samples: Sequence[Sample],
+    opt: OptimizerState,
+    preconditioning: str,
+    proj: Optional[SignProjection],
+    untouched: Optional[Callable[[], np.ndarray]] = None,
+) -> np.ndarray:
+    """The rows of ``_gradient_chunks`` in one ``(n, P)`` or ``(n, dim_out)`` matrix."""
+    out = np.empty((len(samples), model.params.size if proj is None else proj.dim_out))
+    for start, rows in _gradient_chunks(model, samples, opt, preconditioning, proj, untouched, out):
+        out[start:start + len(rows)] = rows
     return out
 
 
@@ -360,9 +391,24 @@ def score_influence(
     Gradients are optionally Adam-preconditioned, then sketched with a seeded
     Rademacher projection. Under ``mean_gradient`` the target is the mean
     validation gradient; under ``max_cosine`` each pool sample takes its best
-    match over individual validation gradients. Adam preconditioning raises
-    ``NotAdam`` or ``ColdOptimizer`` from ``adam_precondition`` once the
-    pool's first chunk is checked, when ``opt`` is not a warm Adam state.
+    match over individual validation gradients.
+
+    Errors come in this order: ``EmptyValidation``; then every pool sample
+    and every validation sample is checked (``TooShort``, vocabulary), in
+    that order; then Adam preconditioning raises ``NotAdam`` or
+    ``ColdOptimizer`` from ``adam_precondition`` when ``opt`` is not a warm
+    Adam state. An empty pool gives an empty ``ScoreVector``.
+
+    The validation pass runs first. A sketched pool is then scored chunk by
+    chunk as ``_gradient_chunks`` projects it, so neither its ``(n, dim_out)``
+    matrix nor ``max_cosine``'s ``(n, n_val)`` cosines are held; a one-row
+    last chunk is scored with the chunk before it, because numpy computes a
+    one-row product on its dot path, with other bits. On one BLAS thread
+    each row's score is bitwise that of one whole-matrix product. The exact
+    path (``projection_dim`` None) keeps its whole ``(n, P)`` matrix: on two
+    threads OpenBLAS splits the rows of a 149 x 4424 matrix-vector product
+    between the threads, and rows 72-74 and 147-148 then differ from the
+    same rows of 128-row products.
 
     Scores repeat bitwise for a fixed BLAS thread count, not across thread
     counts: BLAS may split a product's rows between threads and round them
@@ -376,21 +422,28 @@ def score_influence(
     """
     if len(val_set) == 0:
         raise EmptyValidation("influence scoring needs a non-empty validation set")
+    for s in (*pool, *val_set):
+        _check_sample(model, s)
     proj = None
     if params.projection_dim is not None:
         proj = SignProjection(params.projection_dim, model.params.size, params.projection_seed)
 
-    # One untouched-column row for both calls, built on the pool's first chunk.
+    # One untouched-column row for both passes, built on the validation's first chunk.
     untouched = cache(lambda: _untouched_embedding(model, opt, params.preconditioning))
-    pool_g = _gradient_rows(model, pool, opt, params.preconditioning, proj, untouched)
     val_g = _gradient_rows(model, val_set, opt, params.preconditioning, proj, untouched)
+    targets = val_g.mean(axis=0, keepdims=True) if params.aggregation == "mean_gradient" else val_g
 
-    if params.aggregation == "mean_gradient":
-        scores = _cosine_rows(pool_g, val_g.mean(axis=0))
+    def best_cosine(rows: np.ndarray) -> np.ndarray:
+        norms = _row_norms(rows)
+        return np.max(np.stack([_cosine_rows(rows, t, norms) for t in targets], axis=1), axis=1)
+
+    if proj is None:
+        scores = best_cosine(_gradient_rows(model, pool, opt, params.preconditioning, None))
     else:
-        norms = _row_norms(pool_g)
-        cols = [_cosine_rows(pool_g, val_g[j], norms) for j in range(val_g.shape[0])]
-        scores = np.max(np.stack(cols, axis=1), axis=1)
+        scores = np.empty(len(pool))
+        for start, rows in _gradient_chunks(model, pool, opt, params.preconditioning, proj, untouched):
+            scores[start:start + len(rows)] = best_cosine(rows)
+            del rows  # hold no projected chunk while the next one is made
     return ScoreVector(_pool_ids(pool), scores, "influence")
 
 

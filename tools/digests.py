@@ -24,6 +24,9 @@ that the paths and printed lines are relative to. The set:
   embedding (2560 of 3464 parameters) fills five whole 512-row sign
   blocks, and on a V=64, E=36 model, whose embedding (2304 of 3176) ends
   inside the fifth block (``LESS_SHAPES``);
+- ``score`` with ``less`` (``max_cosine``) on a 129-sample pool, which
+  ends in a one-row chunk, and on the bench ``select_less`` workload at
+  seed 1;
 - ``mix-sim`` on doremi ``lambdas``, doremi proxy/reference losses, odm,
   static and random;
 - every ``--help``.
@@ -137,6 +140,9 @@ def runs():
         )
         yield f"selector_less_{suffix}", config, ["train", "run.yaml", "--out-dir", "out"]
         yield f"score_less_{suffix}", config, ["score", "run.yaml", "scores.jsonl"]
+    one_row_tail = small_config("dynamic_select", "less", params={"projection_dim": 64, "aggregation": "max_cosine"})
+    yield "score_less_one_row_tail", one_row_tail.replace("num_samples: 60", "num_samples: 129"), ["score", "run.yaml", "scores.jsonl"]
+    yield "score_bench_select_less", config_text("select_less", 1), ["score", "run.yaml", "scores.jsonl"]
     for run, (name, body) in MIX_SIM.items():
         yield f"mix_sim_{run}", small_config(name=name) + "mix_sim:\n" + body, ["mix-sim", "run.yaml", "trajectory.jsonl"]
     for command in ("", "train", "gen-data", "score", "mix-sim"):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -35,8 +35,7 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 _GRAD_CHUNK = 128
-_SIGN_BLOCK = 512  # input coordinates (sign-matrix rows) per cached block
-_UNPACK_ROWS = _SIGN_BLOCK  # sign-matrix rows drawn, or unpacked into the float buffer, at a time; even
+_SIGN_BLOCK = 512  # input coordinates (sign-matrix rows) per cached block and per draw; even
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +109,7 @@ def _sign_blocks(seed: int, dim_in: int, dim_out: int) -> tuple:
     spends one 32-bit half of a 64-bit word per value and drops an unused
     half only at the end of a call, and every draw but the last holds
     ``_SIGN_BLOCK * dim_out`` values. That count is even only while
-    ``_SIGN_BLOCK`` (``_UNPACK_ROWS``) is, so it must stay even.
+    ``_SIGN_BLOCK`` is, so it must stay even.
     """
     rng = np.random.default_rng(seed)
     return tuple(
@@ -145,8 +144,6 @@ class SignProjection:
 
     def project(self, mat) -> np.ndarray:
         sketched = isinstance(mat, _SketchRows)
-        if not sketched:
-            mat = np.atleast_2d(mat)
         if mat.shape[1] != self.dim_in:
             raise ValueError(f"expected {self.dim_in} columns, got {mat.shape[1]}")
         out = np.zeros((mat.shape[0], self.dim_out))
@@ -263,40 +260,40 @@ def _gradient_chunks(
     opt: OptimizerState,
     preconditioning: str,
     proj: Optional[SignProjection],
-    untouched: Optional[Callable[[], np.ndarray]] = None,
-    out: Optional[np.ndarray] = None,
+    untouched: Optional[np.ndarray] = None,
 ) -> Iterator[tuple]:
     """Per-sample (optionally preconditioned, optionally sketched) gradients, a chunk at a time.
 
     The samples are taken ``_GRAD_CHUNK`` at a time, read from one
     ``token_table`` per chunk. ``per_sample_gradient`` writes each gradient
     into a row block by block, and the row is preconditioned there in
-    place. Unsketched rows are the rows of ``out``, an ``(n, P)`` matrix,
-    and nothing is yielded. A sketched row is written into one scratch row
-    and stored in the chunk's ``_SketchRows``: its columns past the
-    embedding in one ``(_GRAD_CHUNK, P - V*E)`` block, and only the
-    embedding columns it touches, with their rows and values, in buffers
-    sized for the largest chunk, beside ``untouched()``, the value every
-    other embedding column holds (``_untouched_embedding`` unless given).
-    All the buffers are allocated once: per-row arrays that live for a
-    chunk fragmented the heap around the projection's buffers, and the
-    process kept up to 7 MB more. ``untouched`` is first called after the
-    first chunk's table is built, so ``TooShort`` comes before
-    ``ColdOptimizer``. Each chunk is projected once its table is released,
-    and ``(start, rows)`` is yielded: its first sample's index and its
-    ``(len(chunk), dim_out)`` sketch, which the caller may keep.
+    place. Each yield is ``(start, rows)``, where ``start`` is the index of
+    the first sample of ``rows``; the caller may keep ``rows``.
+
+    Unsketched rows are the rows of one ``(n, P)`` matrix, yielded whole,
+    once, after the last chunk: on two threads OpenBLAS splits the rows of
+    a whole-matrix product between the threads, so a row of a chunk's
+    product may differ from the same row of the whole matrix's.
+
+    A sketched row is written into one scratch row and stored in the
+    chunk's ``_SketchRows``: its columns past the embedding in one
+    ``(_GRAD_CHUNK, P - V*E)`` block, and only the embedding columns it
+    touches, with their rows and values, in buffers sized for the largest
+    chunk, beside ``untouched``, the value every other embedding column
+    holds (``_untouched_embedding`` unless given). All the buffers are
+    allocated once. Each chunk is projected once its table is released,
+    and its ``(len(chunk), dim_out)`` sketch is yielded.
 
     On one thread with OpenBLAS 0.3.31, a product of two or more rows gives
-    each row the same bits whatever its number of rows: the bench
-    ``select_less`` scores are byte-identical at 64-, 80-, 96- and 128-row
-    chunks. A one-row product takes numpy's dot path and rounds otherwise.
-    So each chunk is projected on its own, a one-row last chunk included
-    (a 129-sample pool's width-64 scores move at 80- and 96-row chunks,
-    which project that sample with others), and a one-row last chunk is
+    each row the same bits whatever its number of rows; a one-row product
+    takes numpy's dot path and rounds otherwise. So each chunk is projected
+    on its own, a one-row last chunk included, and a one-row last chunk is
     yielded together with the chunk before it, for the caller's products.
     """
     n = len(samples)
-    if proj is not None:
+    if proj is None:
+        out = np.empty((n, model.params.size))
+    else:
         n_emb = model.unpack()[0].size
         dense = np.empty((min(n, _GRAD_CHUNK), model.params.size - n_emb))
         # A sample touches E columns per distinct input token, of which it has at most min(len - 1, V).
@@ -307,13 +304,13 @@ def _gradient_chunks(
         vals = np.empty(touched)
         scratch = np.empty(model.params.size)
         if untouched is None:
-            untouched = cache(lambda: _untouched_embedding(model, opt, preconditioning))
+            untouched = _untouched_embedding(model, opt, preconditioning)
     held = None
     for start in range(0, n, _GRAD_CHUNK):
         chunk = samples[start:start + _GRAD_CHUNK]
         table = token_table(model, chunk)
         if proj is not None:
-            sketch = _SketchRows(dense[: len(chunk)], owner, cols, vals, untouched())
+            sketch = _SketchRows(dense[: len(chunk)], owner, cols, vals, untouched)
         for i, s in enumerate(chunk):
             row = out[start + i] if proj is None else scratch
             per_sample_gradient(model, s, out=row, table=table)
@@ -332,6 +329,8 @@ def _gradient_chunks(
         else:
             yield start, rows
         del rows  # hold no projected chunk while the next one is made
+    if proj is None:
+        yield 0, out
 
 
 def _gradient_rows(
@@ -340,11 +339,14 @@ def _gradient_rows(
     opt: OptimizerState,
     preconditioning: str,
     proj: Optional[SignProjection],
-    untouched: Optional[Callable[[], np.ndarray]] = None,
+    untouched: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The rows of ``_gradient_chunks`` in one ``(n, P)`` or ``(n, dim_out)`` matrix."""
-    out = np.empty((len(samples), model.params.size if proj is None else proj.dim_out))
-    for start, rows in _gradient_chunks(model, samples, opt, preconditioning, proj, untouched, out):
+    chunks = _gradient_chunks(model, samples, opt, preconditioning, proj, untouched)
+    if proj is None:
+        return next(chunks)[1]
+    out = np.empty((len(samples), proj.dim_out))
+    for start, rows in chunks:
         out[start:start + len(rows)] = rows
     return out
 
@@ -399,16 +401,13 @@ def score_influence(
     ``ColdOptimizer`` from ``adam_precondition`` when ``opt`` is not a warm
     Adam state. An empty pool gives an empty ``ScoreVector``.
 
-    The validation pass runs first. A sketched pool is then scored chunk by
-    chunk as ``_gradient_chunks`` projects it, so neither its ``(n, dim_out)``
-    matrix nor ``max_cosine``'s ``(n, n_val)`` cosines are held; a one-row
-    last chunk is scored with the chunk before it, because numpy computes a
-    one-row product on its dot path, with other bits. On one BLAS thread
-    each row's score is bitwise that of one whole-matrix product. The exact
-    path (``projection_dim`` None) keeps its whole ``(n, P)`` matrix: on two
-    threads OpenBLAS splits the rows of a 149 x 4424 matrix-vector product
-    between the threads, and rows 72-74 and 147-148 then differ from the
-    same rows of 128-row products.
+    The validation pass runs first. Each pool chunk is then scored as
+    ``_gradient_chunks`` yields it, so neither a sketched pool's
+    ``(n, dim_out)`` matrix nor ``max_cosine``'s ``(n, n_val)`` cosines are
+    held; on one BLAS thread each row's score is bitwise that of one
+    whole-matrix product. The exact path (``projection_dim`` None) yields
+    its whole ``(n, P)`` matrix as one chunk, so at any thread count its
+    scores are those of the whole-matrix product.
 
     Scores repeat bitwise for a fixed BLAS thread count, not across thread
     counts: BLAS may split a product's rows between threads and round them
@@ -428,22 +427,14 @@ def score_influence(
     if params.projection_dim is not None:
         proj = SignProjection(params.projection_dim, model.params.size, params.projection_seed)
 
-    # One untouched-column row for both passes, built on the validation's first chunk.
-    untouched = cache(lambda: _untouched_embedding(model, opt, params.preconditioning))
+    untouched = _untouched_embedding(model, opt, params.preconditioning)  # shared by both passes
     val_g = _gradient_rows(model, val_set, opt, params.preconditioning, proj, untouched)
     targets = val_g.mean(axis=0, keepdims=True) if params.aggregation == "mean_gradient" else val_g
-
-    def best_cosine(rows: np.ndarray) -> np.ndarray:
+    scores = np.empty(len(pool))
+    for start, rows in _gradient_chunks(model, pool, opt, params.preconditioning, proj, untouched):
         norms = _row_norms(rows)
-        return np.max(np.stack([_cosine_rows(rows, t, norms) for t in targets], axis=1), axis=1)
-
-    if proj is None:
-        scores = best_cosine(_gradient_rows(model, pool, opt, params.preconditioning, None))
-    else:
-        scores = np.empty(len(pool))
-        for start, rows in _gradient_chunks(model, pool, opt, params.preconditioning, proj, untouched):
-            scores[start:start + len(rows)] = best_cosine(rows)
-            del rows  # hold no projected chunk while the next one is made
+        scores[start:start + len(rows)] = np.max(np.stack([_cosine_rows(rows, t, norms) for t in targets], axis=1), axis=1)
+        del rows  # hold no projected chunk while the next one is made
     return ScoreVector(_pool_ids(pool), scores, "influence")
 
 

@@ -1,9 +1,8 @@
 """The sign cache is drawn a slice of rows at a time, with the bits of one whole-block draw.
 
-``_sign_blocks`` packs ``_UNPACK_ROWS`` rows of draws at a time into each
-cached block. These tests pin its bits to a whole-block draw from the same
-generator, at the bench shape and at odd widths with a partial last block,
-and bound what one cold build allocates.
+These tests pin the bits of ``_sign_blocks`` to a whole-block draw from
+the same generator, at the bench shape and at odd widths with a partial
+last block, and bound what one cold build allocates.
 """
 
 import tracemalloc
@@ -11,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dataflex.selectors import _SIGN_BLOCK, _UNPACK_ROWS, _sign_blocks
+from dataflex.selectors import _SIGN_BLOCK, _sign_blocks
 
 MIB = 1 << 20
 
@@ -26,12 +25,12 @@ def whole_block_oracle(seed, dim_in, dim_out):
 
 
 def test_slice_rows_are_even():
-    assert _UNPACK_ROWS % 2 == 0
+    assert _SIGN_BLOCK % 2 == 0
 
 
 @pytest.mark.parametrize(
     "seed,dim_in,dim_out",
-    [(0, 26944, 512), (1, 4097, 7), (5, 2 * _SIGN_BLOCK + 37, 13), (2, _SIGN_BLOCK + _UNPACK_ROWS + 1, 3)],
+    [(0, 26944, 512), (1, 4097, 7), (5, 2 * _SIGN_BLOCK + 37, 13), (2, 2 * _SIGN_BLOCK + 1, 3)],
     ids=["bench", "width 7", "width 13", "width 3"],
 )
 def test_sliced_draw_matches_a_whole_block_draw(seed, dim_in, dim_out):
@@ -46,7 +45,7 @@ def test_sliced_draw_matches_a_whole_block_draw(seed, dim_in, dim_out):
 def test_cold_build_at_the_bench_shape_holds_one_slice_of_draws():
     dim_in, dim_out = 26944, 512
     packed_cache = dim_in * (dim_out // 8)
-    one_slice = _UNPACK_ROWS * dim_out * 8  # int64 draws
+    one_slice = _SIGN_BLOCK * dim_out * 8  # int64 draws
     _sign_blocks(1, 300, 16)  # a small build first, so first-call allocations are not traced
     _sign_blocks.cache_clear()
     tracemalloc.start()

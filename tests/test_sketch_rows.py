@@ -5,8 +5,9 @@ read, so ``_gradient_rows`` keeps a sketched chunk as its columns past the
 embedding, each row's touched embedding values and one row shared by every
 untouched column (``_SketchRows``). ``ref_dense_gradient_rows`` is the
 earlier form, which held each chunk as a whole ``(rows, P)`` block: the
-scores must not move by a bit, over sign blocks that the embedding fills,
-ends inside or never reaches, and the chunk must store less than that block.
+scores must not move by a bit, over sign blocks that the embedding fills
+or never reaches (``tests/test_sketch_mid_block.py`` has one that it ends
+inside), and the chunk must store less than that block.
 """
 
 import tracemalloc
@@ -23,8 +24,8 @@ from conftest import random_sample
 
 #: name -> (V, E, H): the embedding's V*E columns against the sign blocks.
 LAYOUTS = {
-    "aligned": (256, 8, 8),  # V*E = 2048, one whole sign block
-    "straddling": (256, 12, 8),  # V*E = 3072 ends inside the second block
+    "aligned": (256, 8, 8),  # V*E = 2048, four whole 512-row sign blocks
+    "straddling": (256, 12, 8),  # V*E = 3072 ends on a block boundary, after six whole blocks
     "straddling_2560": (64, 40, 8),  # V*E = 2560 of P = 3464
     "below": (24, 8, 8),  # V*E = 192, P = 480 < one block
 }

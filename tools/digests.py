@@ -1,12 +1,13 @@
 """Print a short sha256 of every output of a fixed set of ``dataflex-cli`` runs.
 
-Run it at two commits and diff what it prints: a change that keeps every
-output byte-identical prints the same lines.
+``DIGESTS.txt`` holds what it prints at the current commit. Diff against
+that file: a change that keeps every output byte-identical prints the same
+lines, and a change that moves a line rewrites the file.
 
-    python3 tools/digests.py > digests.txt
+    python3 tools/digests.py | diff DIGESTS.txt -
 
-For a commit that predates this script, copy it into that checkout's
-``tools/`` and run it there.
+The first line names what the lines depend on beside the code: numpy's
+version, its BLAS build and the BLAS thread count.
 
 Each run is one ``python3 -m dataflex.cli`` process against the ``src`` tree
 beside this script, with BLAS pinned to one thread, in a scratch directory
@@ -31,9 +32,9 @@ that the paths and printed lines are relative to. The set:
   static and random;
 - every ``--help``.
 
-Each line is ``<run>/<file> <sha256[:16]>``; ``stdout`` is the process's
-standard output. A run that fails prints its exit code and the last line
-of its standard error instead.
+Each further line is ``<run>/<file> <sha256[:16]>``; ``stdout`` is the
+process's standard output. A run that fails prints its exit code and the
+last line of its standard error instead.
 """
 
 import hashlib
@@ -42,6 +43,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -152,6 +155,8 @@ def runs():
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"# numpy {np.__version__}, {blas['name']} {blas['version']}, BLAS threads 1", flush=True)
     with tempfile.TemporaryDirectory() as scratch:
         for run, config, cli_args in runs():
             cwd = Path(scratch) / run

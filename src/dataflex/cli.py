@@ -23,10 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .config import _require_map, config_from_tree, load_config_tree
-from .core import MixtureWeights, RunConfig, Schedule, check_keys, empirical_proportions, params_from, validate_config
+from .core import MixtureWeights, RunConfig, Schedule, check_keys, child_rng, empirical_proportions, params_from, validate_config
 from .data import SyntheticParams, build_domain_specs, generate_corpus, make_validation
 from .errors import IO_ERROR_EXIT_CODE, DataflexError, ParseError, exit_code_table
 from .fileio import (
@@ -38,7 +36,7 @@ from .fileio import (
     write_scores,
 )
 from .model import snapshot
-from .trainers import DEFAULT_REGISTRY, run_training
+from .trainers import COMPONENT_STREAM, DEFAULT_REGISTRY, run_training
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ def _cmd_score(args) -> int:
 def _cmd_mix_sim(args) -> int:
     tree, cfg = _load_run_inputs(args.config, args)
     mixer = DEFAULT_REGISTRY.resolve("mixer", cfg.component_name, cfg.component_params)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2])  # a run's component child
+    rng = child_rng(cfg.seed, COMPONENT_STREAM)  # the stream of a run's mixer
     records = mixer.replay(_require_map(tree.get("mix_sim"), "mix_sim"), cfg.init_mixture_proportions, rng)
     write_jsonl(args.out, records)
     print(f"mix-sim: {cfg.component_name} ran {len(records)} updates -> {args.out}")

@@ -1,9 +1,16 @@
-"""Shared domain types: samples, corpora, mixture weights, schedules, run configs.
+"""Shared domain types and the run set-up rules that every module reads.
 
-Everything here is a plain value type with its invariants enforced at
-construction; no algorithm logic lives in this module. All types are treated
-as immutable after construction and are safe to share across threads;
-"mutation" means building a replacement value.
+The types (samples, corpora, mixture weights, schedules, run configs) are
+plain values with their invariants enforced at construction. They are
+treated as immutable after construction and are safe to share across
+threads; "mutation" means building a replacement value.
+
+The rules each have one home here: ``params_from``, the one parameter
+path; ``bounded`` fields and ``check_fields``, the one bounds rule, which
+every parameter dataclass runs at construction (through ``Checked``, or
+from its own ``__post_init__`` where it has a further rule);
+``invocation_steps``, the one schedule rule; and ``child_rng``, the one
+seed-stream rule.
 """
 
 from __future__ import annotations
@@ -82,11 +89,12 @@ def params_from(cls, params: Mapping, label: str, aliases: Optional[Mapping[str,
     ``label``.
 
     The one bounds rule: each field's range or choices are declared on the
-    field (``bounded``), and ``cls.__post_init__`` enforces them through
-    ``check_fields``, whose every comparison fails for NaN. So a value out of
-    range fails here, not during a run, and the error names the user's key
-    (the alias, where there is one). ``__post_init__`` also holds the rules
-    that tie fields together.
+    field (``bounded``), and ``cls.__post_init__`` (``Checked``'s, unless
+    ``cls`` has its own) enforces them through ``check_fields``, whose
+    every comparison fails for NaN. So a value out of range fails here,
+    not during a run, and the error names the user's key (the alias, where
+    there is one). ``__post_init__`` also holds the rules that tie fields
+    together.
     """
     aliases = aliases or {}
     hints = typing.get_type_hints(cls)
@@ -145,9 +153,10 @@ def _range_text(bounds: dict) -> str:
 def check_fields(obj, error=BadParams) -> None:
     """Raise ``error`` naming the first field of ``obj`` outside its ``bounded`` range or choices.
 
-    This is the one bounds rule of every parameter dataclass; each calls it
-    from ``__post_init__``. A ``None`` value (an ``Optional`` field left
-    unset) is not checked. The error's ``field`` is the field's name.
+    This is the one bounds rule of every parameter dataclass; each runs it
+    at construction, through ``Checked`` or from its own ``__post_init__``.
+    A ``None`` value (an ``Optional`` field left unset) is not checked. The
+    error's ``field`` is the field's name.
     """
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
@@ -163,6 +172,27 @@ def check_fields(obj, error=BadParams) -> None:
         exc = error(f"{f.name} {problem}, got {value!r}")
         exc.field = f.name
         raise exc
+
+
+class Checked:
+    """Base of a parameter dataclass whose only construction rule is ``check_fields``.
+
+    A dataclass with a further rule defines its own ``__post_init__``,
+    which calls ``check_fields`` itself.
+    """
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+def child_rng(seed: int, i: int) -> np.random.Generator:
+    """The generator of child ``i`` of ``seed``'s sequence; the one seed-stream rule.
+
+    ``SeedSequence(seed, spawn_key=(i,))`` is the ``i``-th child that
+    ``SeedSequence(seed).spawn`` gives, built without its siblings. Samples
+    of a generated corpus, and each stream of a run, draw from one child.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,16 +385,13 @@ MAX_BATCH_SIZE = 2**16
 
 
 @dataclass(frozen=True)
-class OptimCfg:
+class OptimCfg(Checked):
     kind: str = bounded("adam", choices=("sgd", "adam"))
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     batch_size: int = bounded(8, ge=1, le=MAX_BATCH_SIZE)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Corpus, MixtureWeights, Sample, bounded, check_fields
+from .core import Corpus, MixtureWeights, Sample, bounded, check_fields, child_rng
 from .errors import BadMode, BadParams, BadProportions
 
 VALIDATION_ID_START = 1_000_000_000
@@ -236,17 +236,15 @@ def largest_remainder_counts(n: int, weights: np.ndarray) -> np.ndarray:
 def _generate_samples(specs, counts, seed, id_start):
     """``counts[d]`` samples of each domain ``d`` in turn, ids from ``id_start``.
 
-    Sample ``i`` (counted across the domains) draws from
-    ``SeedSequence(seed, spawn_key=(i,))``, the ``i``-th child that
-    ``SeedSequence(seed).spawn`` gives. Each child is built as its sample
-    is drawn, so one ``SeedSequence`` is alive at a time.
+    Sample ``i`` (counted across the domains) draws from ``child_rng(seed,
+    i)``, the ``i``-th child of ``seed``'s sequence. Each child is built as
+    its sample is drawn, so one ``SeedSequence`` is alive at a time.
     """
     samplers = [_DomainSampler(spec) for spec in specs]
     domains = np.repeat(np.arange(len(counts)), counts)
     samples = []
     for i, d in enumerate(domains.tolist()):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        samples.append(Sample(id=id_start + i, domain_id=d, token_ids=samplers[d].sample_tokens(rng)))
+        samples.append(Sample(id=id_start + i, domain_id=d, token_ids=samplers[d].sample_tokens(child_rng(seed, i))))
     return samples
 
 

@@ -25,13 +25,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Corpus, MixtureWeights, bounded, check_fields, invocation_steps, params_from
+from .core import Checked, Corpus, MixtureWeights, bounded, invocation_steps, params_from
 from .errors import BadParams, EmptyDomainWithMass, LengthMismatch, NonFinite, ParseError
 from .model import ModelState, batch_losses, train_step
 
 
 @dataclass(frozen=True)
-class DoremiParams:
+class DoremiParams(Checked):
     """DoReMi's knobs: the exponentiated-gradient step and the reference/proxy pipeline.
 
     ``doremi_update`` reads ``eta`` and ``epsilon``; ``excess_loss`` is
@@ -49,21 +49,15 @@ class DoremiParams:
     ref_steps: Optional[int] = bounded(None, ge=0)
     proxy_hidden_dim: Optional[int] = bounded(None, ge=1)
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 @dataclass(frozen=True)
-class OdmParams:
+class OdmParams(Checked):
     """Exp3 bandit settings: EMA decay, reward scaling, and exploration floor."""
 
     ema_decay: float = bounded(0.90, ge=0.0, lt=1.0)
     reward_scale: float = bounded(15.0, gt=0.0)
     eps_min: float = bounded(0.01, gt=0.0)
     clip_threshold: float = bounded(-10.0, ge=-math.inf)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass(frozen=True, eq=False)

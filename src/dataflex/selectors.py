@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import Sample, _read_only, bounded, check_fields
+from .core import Checked, Sample, _read_only, bounded, check_fields
 from .errors import EmptyValidation, KTooLarge, NonFinite, NonFiniteMetric
 from .model import (
     Checkpoint,
@@ -80,7 +80,7 @@ class InfluenceParams:
 
 
 @dataclass(frozen=True)
-class TsdsParams:
+class TsdsParams(Checked):
     """Retrieval + KDE scoring parameters."""
 
     max_K: int = bounded(5000, ge=1)
@@ -90,9 +90,6 @@ class TsdsParams:
     sigma: float = bounded(0.75, gt=np.sqrt(np.finfo(float).smallest_subnormal))
     tradeoff_alpha: float = bounded(0.6, ge=0.0, le=1.0)
     C: float = bounded(5.0, gt=0.0)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @lru_cache(maxsize=4)
@@ -423,11 +420,10 @@ def score_influence(
         raise EmptyValidation("influence scoring needs a non-empty validation set")
     for s in (*pool, *val_set):
         _check_sample(model, s)
-    proj = None
+    proj = untouched = None  # the exact path reads no untouched-column row
     if params.projection_dim is not None:
         proj = SignProjection(params.projection_dim, model.params.size, params.projection_seed)
-
-    untouched = _untouched_embedding(model, opt, params.preconditioning)  # shared by both passes
+        untouched = _untouched_embedding(model, opt, params.preconditioning)  # shared by both passes
     val_g = _gradient_rows(model, val_set, opt, params.preconditioning, proj, untouched)
     targets = val_g.mean(axis=0, keepdims=True) if params.aggregation == "mean_gradient" else val_g
     scores = np.empty(len(pool))

@@ -13,9 +13,10 @@ data view (policy, pool and selection digest), which the eval records
 read.
 
 ``_MODES`` builds each train type's component: a plain ``Component`` for
-``static``, a ``_Selection`` around a selector, the registry's ``Mixer``,
-or a ``_Weighting`` around a weight strategy. Selectors, mixers and
-weighters all resolve through the registry. ``run_training`` drives one run
+``static`` and a ``_Selection`` around a selector; for a mixer or a
+weighter it is the component that the registry builds (a ``Mixer``, or a
+``_Weighting`` from a ``WeightStrategy``). Selectors, mixers and weighters
+all resolve through the registry. ``run_training`` drives one run
 for ``max_steps`` steps. DoReMi's pipeline lives here, beside the engine:
 ``run_doremi_pipeline`` drives its reference and proxy stages as runs
 without evals, and ``DoremiMixer.start`` runs that pipeline to set its
@@ -38,12 +39,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
+    Checked,
     Corpus,
     MetricsRecord,
     MixtureWeights,
     RunConfig,
     bounded,
-    check_fields,
+    child_rng,
     empirical_proportions,
     id_set_digest,
     invocation_steps,
@@ -89,6 +91,9 @@ from .selectors import (
 from .weighters import WeightStrategy, apply as weighter_apply
 
 COMPONENT_KINDS = ("selector", "mixer", "weighter")
+#: The child of a run's seed that its component draws from, past ``seed_child``.
+COMPONENT_STREAM = 2
+
 
 class ComponentRegistry:
     """String-keyed factories for selectors, mixers, and weighters."""
@@ -117,14 +122,11 @@ class ComponentRegistry:
 
 
 @dataclass(frozen=True)
-class SelectParams:
+class SelectParams(Checked):
     """The select-mode keys of ``component_params`` that the loop itself reads."""
 
     ratio: float = bounded(0.5, gt=0.0, le=1.0)
     accumulate: bool = False
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def select_params(params: dict) -> tuple:
@@ -168,12 +170,9 @@ class InfluenceSelector:
 
 
 @dataclass(frozen=True)
-class ProbeSelector:
+class ProbeSelector(Checked):
     probe_lr: float = bounded(1e-3, gt=0.0, lt=np.inf)
     metric: str = bounded("val_loss", choices=("val_loss", "top1_accuracy"))
-
-    def __post_init__(self):
-        check_fields(self)
 
     def score(self, run) -> ScoreVector:
         factory = mean_loss_metric if self.metric == "val_loss" else top1_accuracy_metric
@@ -181,11 +180,8 @@ class ProbeSelector:
 
 
 @dataclass(frozen=True)
-class KnnSelector:
+class KnnSelector(Checked):
     k: int = bounded(10, ge=1)
-
-    def __post_init__(self):
-        check_fields(self)
 
     def start(self, run):
         """Reject a ``k`` above the validation size before the run's first step."""
@@ -228,13 +224,39 @@ class DoremiMixer(DoremiRule):
         run.result.invocations.extend(rec["step"] for rec in pipeline.trajectory)
 
 
+class _Weighting(Component):
+    """The registry's ``loss`` weighter: after warmup, each step weights its samples by their losses."""
+
+    def __init__(self, strategy: WeightStrategy):
+        self.strategy = strategy
+
+    def start(self, run):
+        run.result.weight_stats = []
+
+    def step(self, run, batch, step):
+        in_warmup = step <= run.cfg.schedule.warmup_step
+        model, opt, loss, weights = weighter_apply(run.model, run.opt, batch, self.strategy, in_warmup=in_warmup)
+        norm = weights / weights.sum()
+        positive = norm[norm > 0.0]
+        run.result.weight_stats.append(
+            {
+                "step": step,
+                "min_weight": float(weights.min()),
+                "max_weight": float(weights.max()),
+                "entropy": float(-np.sum(positive * np.log(positive))),
+            }
+        )
+        return model, opt, loss
+
+
 def _same(params):
     return params
 
 
 #: (kind, name) -> (params dataclass, component built from the parsed params,
 #: aliases from user keys to fields). A component that is its own params
-#: dataclass is built by ``_same``.
+#: dataclass is built by ``_same``. A mixer or weighter is its run's
+#: ``Component``; a selector is what ``_Selection`` scores with.
 _BUILTINS = {
     ("selector", "loss"): (LossSelector, _same, None),
     ("selector", "delta_loss"): (DeltaLossSelector, _same, None),
@@ -247,7 +269,7 @@ _BUILTINS = {
     ("mixer", "random"): (RandomMixer, _same, None),
     ("mixer", "odm"): (OdmParams, OdmMixer, None),
     ("mixer", "doremi"): (DoremiParams, DoremiMixer, None),
-    ("weighter", "loss"): (WeightStrategy, _same, {"strategy": "kind"}),
+    ("weighter", "loss"): (WeightStrategy, _Weighting, {"strategy": "kind"}),
 }
 
 
@@ -299,17 +321,17 @@ class _Run:
     active selection); and ``digest``, the active selection's
     ``id_set_digest`` (0 while the pool is the whole corpus). The
     component's hooks update it and the eval records read it. Model init,
-    batch sampling and the component draw from children ``seed_child``,
-    ``seed_child + 1`` and ``seed_child + 2`` of the run seed's sequence.
+    batch sampling and the component draw from ``child_rng`` children
+    ``seed_child``, ``seed_child + 1`` and ``seed_child + COMPONENT_STREAM``
+    of the run's seed.
     """
 
     def __init__(self, cfg: RunConfig, corpus: Corpus, val: Optional[Corpus], component: Component, seed_child: int = 0):
         self.cfg, self.corpus, self.val = cfg, corpus, val
-        kids = np.random.SeedSequence(cfg.seed).spawn(seed_child + 3)[seed_child:]
-        self.model = init_model(cfg.model_cfg, np.random.default_rng(kids[0]))
+        self.model = init_model(cfg.model_cfg, child_rng(cfg.seed, seed_child))
         self.opt = init_optimizer(cfg.optim_cfg, self.model.params.size)
-        self.rng_sample = np.random.default_rng(kids[1])
-        self.rng = np.random.default_rng(kids[2])  # for the component
+        self.rng_sample = child_rng(cfg.seed, seed_child + 1)
+        self.rng = child_rng(cfg.seed, seed_child + COMPONENT_STREAM)
         self.policy = cfg.init_mixture_proportions or empirical_proportions(corpus)
         self.pool, self.digest = corpus, 0
         self.result = RunResult(metrics=[])
@@ -452,37 +474,17 @@ class _Selection(Component):
         run.result.selections.append(SelectionEvent(step=step, ids=tuple(chosen), digest=run.digest, scores=scores))
 
 
-class _Weighting(Component):
-    """A weighter's run: after warmup, each step weights its samples by their losses."""
-
-    def __init__(self, strategy: WeightStrategy):
-        self.strategy = strategy
-
-    def start(self, run):
-        run.result.weight_stats = []
-
-    def step(self, run, batch, step):
-        in_warmup = step <= run.cfg.schedule.warmup_step
-        model, opt, loss, weights = weighter_apply(run.model, run.opt, batch, self.strategy, in_warmup=in_warmup)
-        norm = weights / weights.sum()
-        positive = norm[norm > 0.0]
-        run.result.weight_stats.append(
-            {
-                "step": step,
-                "min_weight": float(weights.min()),
-                "max_weight": float(weights.max()),
-                "entropy": float(-np.sum(positive * np.log(positive))),
-            }
-        )
-        return model, opt, loss
+def _resolved(kind: str):
+    """The mode that runs the registry's ``kind`` component as built from ``component_params``."""
+    return lambda cfg, registry: registry.resolve(kind, cfg.component_name, cfg.component_params)
 
 
 #: train_type -> (cfg, registry) -> the component of its run.
 _MODES = {
     "static": lambda cfg, registry: Component(),
     "dynamic_select": _Selection,
-    "dynamic_mix": lambda cfg, registry: registry.resolve("mixer", cfg.component_name, cfg.component_params),
-    "dynamic_weight": lambda cfg, registry: _Weighting(registry.resolve("weighter", cfg.component_name, cfg.component_params)),
+    "dynamic_mix": _resolved("mixer"),
+    "dynamic_weight": _resolved("weighter"),
 }
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import bounded, check_fields
+from .core import Checked, bounded
 from .errors import NegativeLoss, NonFinite
 from .model import (
     ModelState,
@@ -25,7 +25,7 @@ from .model import (
 
 
 @dataclass(frozen=True)
-class WeightStrategy:
+class WeightStrategy(Checked):
     """How batch losses map to per-sample weights.
 
     kinds: ``uniform`` (all ones), ``linear`` (loss over mean loss), and
@@ -34,9 +34,6 @@ class WeightStrategy:
 
     kind: str = bounded("softmax", choices=("uniform", "linear", "softmax"))
     temperature: float = bounded(1.0, gt=0.0)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def compute_weights(losses: Sequence[float], strat: WeightStrategy) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataflex import (
     make_validation,
 )
 from dataflex.mixers import Component
-from dataflex.selectors import SignProjection, _sign_blocks
+from dataflex.selectors import _SIGN_BLOCK, SignProjection, _sign_blocks
 from dataflex.trainers import DEFAULT_REGISTRY, _Run, _Selection
 
 ARCH = ModelCfg(vocab_size=32, embed_dim=6, hidden_dim=8)
@@ -102,7 +102,7 @@ def test_projection_at_the_bench_shape_holds_one_small_unpacking_block():
     proj = SignProjection(dim_out, dim_in, seed=0)
     mat = np.random.default_rng(0).normal(size=(rows, dim_in))
     _sign_blocks(0, dim_in, dim_out)  # the cached blocks are drawn before tracing
-    sign_buffer = 2048 * dim_out * 8
+    sign_buffer = _SIGN_BLOCK * dim_out * 8
     product = output = rows * dim_out * 8
     tracemalloc.start()
     try:

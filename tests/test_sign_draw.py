@@ -1,4 +1,4 @@
-"""The sign cache is drawn a slice of rows at a time, with the bits of one whole-block draw.
+"""The sign cache is drawn one block of rows per draw, with the bits of a whole-block draw.
 
 These tests pin the bits of ``_sign_blocks`` to a whole-block draw from
 the same generator, at the bench shape and at odd widths with a partial
@@ -16,7 +16,7 @@ MIB = 1 << 20
 
 
 def whole_block_oracle(seed, dim_in, dim_out):
-    """Each block drawn in one call, then packed: the layout the sliced draw must reproduce."""
+    """Each block drawn in one call, then packed: the layout the cache must reproduce."""
     rng = np.random.default_rng(seed)
     return [
         np.packbits(rng.integers(0, 2, size=(min(_SIGN_BLOCK, dim_in - start), dim_out)), axis=1)
@@ -24,7 +24,7 @@ def whole_block_oracle(seed, dim_in, dim_out):
     ]
 
 
-def test_slice_rows_are_even():
+def test_block_rows_are_even():
     assert _SIGN_BLOCK % 2 == 0
 
 
@@ -33,7 +33,7 @@ def test_slice_rows_are_even():
     [(0, 26944, 512), (1, 4097, 7), (5, 2 * _SIGN_BLOCK + 37, 13), (2, 2 * _SIGN_BLOCK + 1, 3)],
     ids=["bench", "width 7", "width 13", "width 3"],
 )
-def test_sliced_draw_matches_a_whole_block_draw(seed, dim_in, dim_out):
+def test_cached_blocks_match_a_whole_block_draw(seed, dim_in, dim_out):
     blocks = _sign_blocks(seed, dim_in, dim_out)
     want = whole_block_oracle(seed, dim_in, dim_out)
     assert len(blocks) == len(want)
@@ -42,10 +42,10 @@ def test_sliced_draw_matches_a_whole_block_draw(seed, dim_in, dim_out):
         assert np.array_equal(got, expect)
 
 
-def test_cold_build_at_the_bench_shape_holds_one_slice_of_draws():
+def test_cold_build_at_the_bench_shape_holds_one_block_of_draws():
     dim_in, dim_out = 26944, 512
     packed_cache = dim_in * (dim_out // 8)
-    one_slice = _SIGN_BLOCK * dim_out * 8  # int64 draws
+    one_block = _SIGN_BLOCK * dim_out * 8  # int64 draws
     _sign_blocks(1, 300, 16)  # a small build first, so first-call allocations are not traced
     _sign_blocks.cache_clear()
     tracemalloc.start()
@@ -55,4 +55,4 @@ def test_cold_build_at_the_bench_shape_holds_one_slice_of_draws():
     finally:
         tracemalloc.stop()
         _sign_blocks.cache_clear()
-    assert peak <= packed_cache + one_slice + MIB // 4
+    assert peak <= packed_cache + one_block + MIB // 4

@@ -119,6 +119,21 @@ def test_one_shared_adam_row_per_score_call(layout, preconditioning, monkeypatch
     assert len(calls) == {"adam": len(pool) + len(val) + 1, "none": 0}[preconditioning]
 
 
+def test_the_exact_path_makes_one_adam_call_per_sample(monkeypatch):
+    """The exact path reads no untouched-column row, so it builds none."""
+    model, opt, pool = warm(ModelCfg(*LAYOUTS["below"]), seed=4)
+    pool, val = pool[:60], pool[60:72]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return adam_precondition(*args, **kwargs)
+
+    monkeypatch.setattr(selectors, "adam_precondition", counted)
+    score_influence(model, opt, pool, val, InfluenceParams(0, 2))
+    assert len(calls) == len(pool) + len(val)
+
+
 def test_too_short_comes_before_cold_optimizer(layout):
     model, _, pool = layout
     cold = init_optimizer(OptimCfg(kind="adam"), model.params.size)

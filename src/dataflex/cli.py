@@ -97,12 +97,9 @@ def _load_run_inputs(config_path, args):
     return tree, dataclasses.replace(cfg, **overrides)
 
 
-def _out_dir(tree: dict, args, config_path) -> Path:
-    if getattr(args, "out_dir", None):
-        out = Path(args.out_dir)
-    else:
-        configured = _path(tree.get("train") or {}, "out_dir", "train")
-        out = Path(configured) if configured else Path("runs") / Path(config_path).stem
+def _out_dir(tree: dict, args) -> Path:
+    """``--out-dir``, else the config's ``train.out_dir``, else ``runs/<config stem>``; made if missing."""
+    out = Path(args.out_dir or _path(tree.get("train") or {}, "out_dir", "train") or Path("runs") / Path(args.config).stem)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -111,7 +108,7 @@ def _cmd_train(args) -> int:
     tree, cfg = _load_run_inputs(args.config, args)
     corpus, val = _build_data(tree, cfg)
     validate_config(cfg, corpus)
-    out = _out_dir(tree, args, args.config)
+    out = _out_dir(tree, args)
 
     result = run_training(cfg, corpus, val)
 

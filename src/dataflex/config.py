@@ -6,20 +6,24 @@ comments, and quoted or bare scalars. Tabs in indentation are rejected.
 The restriction keeps the key contract bit-exact and the error messages
 line-accurate; nothing in this package needs more.
 
-``SECTIONS`` maps each config key to the dataclass field it sets. Defaults
-live only on the dataclasses (``ModelCfg``, ``OptimCfg``, ``Schedule``,
-``RunConfig``): a key left out of a file takes the field's default, and
-values are coerced by ``core.params_from`` and checked against the bounds
-declared on each field (``core.check_fields``).
+``SECTIONS`` maps each config key to the dataclass field it sets. The keys
+of ``ModelCfg``, ``OptimCfg`` and ``Schedule`` are read from their fields,
+in declaration order; ``optimizer``, for ``OptimCfg.kind``, is the one
+alias. ``RunConfig``'s own keys and the CLI's ``out_dir`` are listed by
+hand. Defaults live only on the dataclasses (``ModelCfg``, ``OptimCfg``,
+``Schedule``, ``RunConfig``): a key left out of a file takes the field's
+default, and values are coerced by ``core.params_from`` and checked
+against the bounds declared on each field (``core.check_fields``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import typing
 from pathlib import Path
 
-from .core import MixtureWeights, RunConfig, check_keys, params_from
+from .core import MixtureWeights, ModelCfg, OptimCfg, RunConfig, Schedule, check_keys, params_from
 from .errors import ParseError
 
 _BARE_KEY = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
@@ -29,16 +33,16 @@ _BARE_KEY = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
 #: field name), or None for a key the CLI alone reads. It drives both
 #: ``config_from_tree`` and ``serialize_config``, in this order.
 SECTIONS = {
-    "model": {key: ("model_cfg", key) for key in ("vocab_size", "embed_dim", "hidden_dim", "task")},
+    "model": {f.name: ("model_cfg", f.name) for f in dataclasses.fields(ModelCfg)},
     "train": {
         "optimizer": ("optim_cfg", "kind"),
-        **{key: ("optim_cfg", key) for key in ("learning_rate", "beta1", "beta2", "eps", "batch_size")},
+        **{f.name: ("optim_cfg", f.name) for f in dataclasses.fields(OptimCfg) if f.name != "kind"},
         **{key: ("", key) for key in ("seed", "max_steps", "eval_interval")},
         "out_dir": None,
     },
     "dataflex": {
         **{key: ("", key) for key in ("train_type", "component_name")},
-        **{key: ("schedule", key) for key in ("warmup_step", "update_step", "update_times")},
+        **{f.name: ("schedule", f.name) for f in dataclasses.fields(Schedule)},
         **{key: ("", key) for key in ("init_mixture_proportions", "component_params")},
     },
 }

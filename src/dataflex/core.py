@@ -9,8 +9,9 @@ The rules each have one home here: ``params_from``, the one parameter
 path; ``bounded`` fields and ``check_fields``, the one bounds rule, which
 every parameter dataclass runs at construction (through ``Checked``, or
 from its own ``__post_init__`` where it has a further rule);
-``invocation_steps``, the one schedule rule; and ``child_rng``, the one
-seed-stream rule.
+``invocation_steps``, the one schedule rule; ``child_rng``, the one
+seed-stream rule; and ``TRAIN_TYPE_KINDS``, the one table that pairs each
+train type with the registry kind of its run's component.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ SIMPLEX_ATOL = 1e-9
 #: human-written decimals rarely sum to 1 exactly. Values are renormalized.
 CONFIG_SIMPLEX_ATOL = 1e-6
 
-TRAIN_TYPES = ("static", "dynamic_select", "dynamic_mix", "dynamic_weight")
+#: train_type -> the registry kind of its run's component; ``static`` runs none.
+TRAIN_TYPE_KINDS = {"static": None, "dynamic_select": "selector", "dynamic_mix": "mixer", "dynamic_weight": "weighter"}
+TRAIN_TYPES = tuple(TRAIN_TYPE_KINDS)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -435,7 +438,7 @@ def validate_config(cfg: RunConfig, corpus: Corpus) -> None:
             raise BadParams(f"{name} must lie in [0, 1), got {getattr(optim, name)}")
     if not (np.isfinite(optim.eps) and optim.eps > 0.0):
         raise BadParams(f"eps must be finite and > 0, got {optim.eps}")
-    if cfg.train_type != "static" and not cfg.component_name:
+    if TRAIN_TYPE_KINDS[cfg.train_type] and not cfg.component_name:
         raise UnknownComponent(f"component_name must be non-empty for train_type {cfg.train_type!r}")
     if cfg.init_mixture_proportions is not None and len(cfg.init_mixture_proportions) != corpus.num_domains:
         raise BadSimplex(

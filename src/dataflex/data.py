@@ -233,8 +233,8 @@ def largest_remainder_counts(n: int, weights: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _generate_samples(specs, counts, seed, id_start):
-    """``counts[d]`` samples of each domain ``d`` in turn, ids from ``id_start``.
+def _generate_samples(specs, counts, seed, id_start) -> Corpus:
+    """The corpus of ``counts[d]`` samples of each domain ``d`` in turn, ids from ``id_start``.
 
     Sample ``i`` (counted across the domains) draws from ``child_rng(seed,
     i)``, the ``i``-th child of ``seed``'s sequence. Each child is built as
@@ -245,7 +245,7 @@ def _generate_samples(specs, counts, seed, id_start):
     samples = []
     for i, d in enumerate(domains.tolist()):
         samples.append(Sample(id=id_start + i, domain_id=d, token_ids=samplers[d].sample_tokens(child_rng(seed, i))))
-    return samples
+    return Corpus(samples, tuple(s.name for s in specs), specs[0].vocab_size)
 
 
 def generate_corpus(specs: Sequence[DomainSpec], proportions: MixtureWeights, n: int, seed: int) -> Corpus:
@@ -255,8 +255,7 @@ def generate_corpus(specs: Sequence[DomainSpec], proportions: MixtureWeights, n:
     if n < len(specs):
         raise BadProportions(f"n={n} smaller than the number of domains")
     counts = largest_remainder_counts(n, proportions.weights)
-    samples = _generate_samples(specs, counts, seed, id_start=0)
-    return Corpus(samples, tuple(s.name for s in specs), specs[0].vocab_size)
+    return _generate_samples(specs, counts, seed, id_start=0)
 
 
 def make_validation(
@@ -297,5 +296,4 @@ def make_validation(
         counts = largest_remainder_counts(m, MixtureWeights.from_config(weights).weights)
     else:
         raise BadMode(f"unknown validation mode {mode!r}")
-    samples = _generate_samples(specs, counts, seed, id_start=id_start)
-    return Corpus(samples, tuple(s.name for s in specs), specs[0].vocab_size)
+    return _generate_samples(specs, counts, seed, id_start=id_start)

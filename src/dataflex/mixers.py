@@ -126,14 +126,19 @@ def doremi_update(alpha: MixtureWeights, lam: np.ndarray, params: DoremiParams) 
     return MixtureWeights(smoothed)
 
 
+def odm_reward(ema_loss: np.ndarray, params: OdmParams) -> np.ndarray:
+    """ODM's per-domain reward: the loss EMA clipped below at ``clip_threshold``, over ``reward_scale``."""
+    return np.maximum(ema_loss, params.clip_threshold) / params.reward_scale
+
+
 def odm_update(state: OdmState, observed_domain_loss: np.ndarray, params: OdmParams) -> OdmState:
     """One Exp3 update from per-domain losses observed since the last update.
 
     NaN entries mark domains not sampled in the window: their EMA and raw
     weight are untouched (importance-weighted reward estimate 0). For
-    observed domains the EMA is updated (first observation seeds it), the
-    reward is the clipped EMA divided by ``reward_scale``, importance-weighted
-    by the sampling policy in effect while the window was collected. The new
+    observed domains the EMA is updated (first observation seeds it), and
+    the reward (``odm_reward``) is importance-weighted by the sampling
+    policy in effect while the window was collected. The new
     policy mixes ``K*eps_min`` of uniform exploration back in, so every entry
     is at least ``eps_min``. A loss observed for a domain of policy weight 0
     has no importance weight and is rejected.
@@ -158,8 +163,7 @@ def odm_update(state: OdmState, observed_domain_loss: np.ndarray, params: OdmPar
     ema[rest] = params.ema_decay * ema[rest] + (1.0 - params.ema_decay) * losses[rest]
 
     reward_hat = np.zeros(k)
-    reward = np.maximum(ema[observed], params.clip_threshold) / params.reward_scale
-    reward_hat[observed] = reward / state.policy.weights[observed]
+    reward_hat[observed] = odm_reward(ema[observed], params) / state.policy.weights[observed]
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
         raw = state.raw_weights * np.exp(params.eps_min * reward_hat / k)
@@ -377,8 +381,7 @@ class OdmMixer(Mixer):
 
     def update(self, policy, losses, rng):
         self.state = odm_update(self.state, losses, self.params)
-        rewards = np.maximum(self.state.ema_loss, self.params.clip_threshold) / self.params.reward_scale
-        return self.state.policy, {"rewards": [float(r) for r in rewards]}
+        return self.state.policy, {"rewards": [float(r) for r in odm_reward(self.state.ema_loss, self.params)]}
 
 
 class DoremiRule(Mixer):

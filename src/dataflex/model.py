@@ -160,11 +160,15 @@ def init_optimizer(cfg: OptimCfg, n_params: int) -> OptimizerState:
     return OptimizerState("sgd", cfg, None, None, 0)
 
 
+def _check_vocab(model: ModelState, s: Sample) -> None:
+    if int(s.token_ids.max()) >= model.arch.vocab_size:
+        raise ValueError(f"sample {s.id} has tokens outside vocab of size {model.arch.vocab_size}")
+
+
 def _check_sample(model: ModelState, s: Sample) -> None:
     if len(s) < 2:
         raise TooShort(f"sample {s.id} has {len(s)} token(s); need >= 2 for a next-token target")
-    if int(s.token_ids.max()) >= model.arch.vocab_size:
-        raise ValueError(f"sample {s.id} has tokens outside vocab of size {model.arch.vocab_size}")
+    _check_vocab(model, s)
 
 
 def _hidden(params, tokens: np.ndarray):
@@ -325,8 +329,7 @@ def embedding_columns(arch: ModelCfg, s: Sample) -> np.ndarray:
 
 def embed(model: ModelState, s: Sample) -> np.ndarray:
     """Sentence embedding: the read-only mean hidden activation over all token positions."""
-    if int(s.token_ids.max()) >= model.arch.vocab_size:
-        raise ValueError(f"sample {s.id} has tokens outside vocab of size {model.arch.vocab_size}")
+    _check_vocab(model, s)
     return _read_only(_hidden(model.unpack(), s.token_ids)[1].mean(axis=0))
 
 

@@ -511,10 +511,8 @@ def score_knn(pool_embeddings, val_embeddings, k: int, pool_ids: Optional[np.nda
     pool_norms = np.linalg.norm(pool_m, axis=1)
     val_norms = np.linalg.norm(val_m, axis=1)
     denom = np.outer(pool_norms, val_norms)
-    cos = np.zeros((pool_m.shape[0], val_m.shape[0]))
-    nz = denom > 0.0
     raw = pool_m @ val_m.T
-    cos[nz] = raw[nz] / denom[nz]
+    cos = np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0.0)
 
     scores = np.empty(pool_m.shape[0])
     for i in range(pool_m.shape[0]):

@@ -12,16 +12,19 @@ three hooks of ``mixers.Component``: ``start`` once, when the run is built
 data view (policy, pool and selection digest), which the eval records
 read.
 
-``_MODES`` builds each train type's component: a plain ``Component`` for
-``static`` and a ``_Selection`` around a selector; for a mixer or a
-weighter it is the component that the registry builds (a ``Mixer``, or a
-``_Weighting`` from a ``WeightStrategy``). Selectors, mixers and weighters
-all resolve through the registry. ``run_training`` drives one run
-for ``max_steps`` steps. DoReMi's pipeline lives here, beside the engine:
-``run_doremi_pipeline`` drives its reference and proxy stages as runs
-without evals, and ``DoremiMixer.start`` runs that pipeline to set its
-run's static mixture. ``mixers`` holds the component hooks and the mixers,
-and imports nothing from this module.
+``run_training`` builds each run's component from the registry kind that
+``core.TRAIN_TYPE_KINDS`` pairs with its train type: a plain ``Component``
+for ``static`` (no kind), a ``_Selection`` around a selector, and for a
+mixer or a weighter the component that the registry builds (a ``Mixer``,
+or a ``_Weighting`` from a ``WeightStrategy``). Selectors, mixers and
+weighters all resolve through the registry. ``run_training`` drives one
+run for ``max_steps`` steps.
+
+DoReMi's pipeline lives here, beside the engine: ``run_doremi_pipeline``
+drives its reference and proxy stages as runs without evals, and
+``DoremiMixer.start`` runs that pipeline to set its run's static mixture.
+``mixers`` holds the component hooks and the mixers, and imports nothing
+from this module.
 
 All modes share one batch-sampling path (domains drawn from a policy, then
 uniform within the domain), so degenerate configurations (select-all,
@@ -44,6 +47,7 @@ from .core import (
     MetricsRecord,
     MixtureWeights,
     RunConfig,
+    TRAIN_TYPE_KINDS,
     bounded,
     child_rng,
     empirical_proportions,
@@ -90,7 +94,7 @@ from .selectors import (
 )
 from .weighters import WeightStrategy, apply as weighter_apply
 
-COMPONENT_KINDS = ("selector", "mixer", "weighter")
+COMPONENT_KINDS = tuple(kind for kind in TRAIN_TYPE_KINDS.values() if kind)
 #: The child of a run's seed that its component draws from, past ``seed_child``.
 COMPONENT_STREAM = 2
 
@@ -474,20 +478,6 @@ class _Selection(Component):
         run.result.selections.append(SelectionEvent(step=step, ids=tuple(chosen), digest=run.digest, scores=scores))
 
 
-def _resolved(kind: str):
-    """The mode that runs the registry's ``kind`` component as built from ``component_params``."""
-    return lambda cfg, registry: registry.resolve(kind, cfg.component_name, cfg.component_params)
-
-
-#: train_type -> (cfg, registry) -> the component of its run.
-_MODES = {
-    "static": lambda cfg, registry: Component(),
-    "dynamic_select": _Selection,
-    "dynamic_mix": _resolved("mixer"),
-    "dynamic_weight": _resolved("weighter"),
-}
-
-
 def run_training(cfg: RunConfig, corpus: Corpus, val: Corpus, registry: Optional[ComponentRegistry] = None) -> RunResult:
     """Run any of the four training modes for ``max_steps`` steps; see the module docstring.
 
@@ -497,5 +487,11 @@ def run_training(cfg: RunConfig, corpus: Corpus, val: Corpus, registry: Optional
     its pipeline).
     """
     validate_config(cfg, corpus)
-    component = _MODES[cfg.train_type](cfg, registry or DEFAULT_REGISTRY)
+    kind, registry = TRAIN_TYPE_KINDS[cfg.train_type], registry or DEFAULT_REGISTRY
+    if kind is None:
+        component = Component()
+    elif kind == "selector":
+        component = _Selection(cfg, registry)
+    else:
+        component = registry.resolve(kind, cfg.component_name, cfg.component_params)
     return _Run(cfg, corpus, val, component).drive(cfg.max_steps)

@@ -1,10 +1,12 @@
 """Per-sample loss-based weighting applied inside the training step.
 
 Every strategy returns weights with mean exactly 1 (up to float rounding),
-so reweighting never changes the effective learning rate. The losses that
-drive a strategy come from the training step's own forward pass
-(``train_step`` takes the weights as a function of them), so a weighted
-step forwards its batch once.
+so reweighting never changes the effective learning rate. It holds over
+the whole float range: ``linear`` divides the losses by the largest first
+when their mean overflows or is subnormal. The losses that drive a
+strategy come from the training step's own forward pass (``train_step``
+takes the weights as a function of them), so a weighted step forwards its
+batch once.
 """
 
 from __future__ import annotations
@@ -53,9 +55,13 @@ def compute_weights(losses: Sequence[float], strat: WeightStrategy) -> np.ndarra
     if strat.kind == "uniform":
         return np.ones_like(losses)
     if strat.kind == "linear":
-        mean = losses.mean()
-        if mean == 0.0:
-            return np.ones_like(losses)
+        with np.errstate(over="ignore"):  # an overflowed mean is rescaled just below
+            mean = losses.mean()
+        if not np.finfo(np.float64).tiny <= mean < np.inf:  # over the largest loss, the mean is >= 1 / n
+            if losses.max() == 0.0:
+                return np.ones_like(losses)
+            losses = losses / losses.max()
+            mean = losses.mean()
         return losses / mean
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         scaled = losses / strat.temperature

@@ -49,6 +49,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+from dataflex.core import TRAIN_TYPE_KINDS
 from dataflex.trainers import COMPONENT_KINDS, DEFAULT_REGISTRY
 from workloads import WORKLOADS, config_text
 
@@ -96,7 +97,8 @@ VARIANTS = {
 }
 #: run suffix -> (vocab_size, embed_dim) of a ``less`` pair on the small config.
 LESS_SHAPES = {"straddling": (64, 40), "mid_block": (64, 36)}
-TRAIN_TYPES = {"selector": "dynamic_select", "mixer": "dynamic_mix", "weighter": "dynamic_weight"}
+#: kind -> the train type whose run builds it; ``core.TRAIN_TYPE_KINDS`` inverted.
+TRAIN_TYPES = {kind: train_type for train_type, kind in TRAIN_TYPE_KINDS.items() if kind}
 
 LOSS_ROWS = "  losses:\n    - [2.0, null, 3.0]\n    - [1.9, 2.4, 2.8]\n"
 MIX_SIM = {
